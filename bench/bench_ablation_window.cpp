@@ -52,15 +52,13 @@ int main(int argc, char** argv) {
   const std::string json_path =
       bench::json_flag_path(argc, argv, "BENCH_ablation_window.json");
   if (!json_path.empty()) {
-    bench::JsonWriter w;
-    bench::manifest_begin(w, "bench_ablation_window");
-    w.field("bench", "ablation_window");
-    w.field("curve", "sect233k1");
-    w.raw("rows", t.to_json());
-    w.field("best_kp_w", static_cast<std::uint64_t>(best_kp_w));
-    w.field("best_kg_w", static_cast<std::uint64_t>(best_kg_w));
-    bench::manifest_end(w);
-    w.write_file(json_path);
+    telemetry::Json p = telemetry::Json::object();
+    p.set("bench", telemetry::Json::str("ablation_window"));
+    p.set("curve", telemetry::Json::str("sect233k1"));
+    p.set("rows", bench::table_json(t));
+    p.set("best_kp_w", telemetry::Json::number(std::uint64_t{best_kp_w}));
+    p.set("best_kg_w", telemetry::Json::number(std::uint64_t{best_kg_w}));
+    bench::write_manifest(json_path, "bench_ablation_window", std::move(p));
   }
 
   std::printf(

@@ -95,29 +95,28 @@ int main(int argc, char** argv) {
   const std::string json_path =
       bench::json_flag_path(argc, argv, "BENCH_curve_selection.json");
   if (!json_path.empty()) {
-    bench::JsonWriter w;
-    bench::manifest_begin(w, "bench_curve_selection");
-    w.field("bench", "curve_selection");
-    w.raw("rows", t.to_json());
-    w.field("koblitz_faster_at_matched_security",
-            conclusions.koblitz_faster_at_matched_security);
-    w.field("binary_lower_power", conclusions.binary_lower_power);
-    w.begin_array("measured_kp");
+    using telemetry::Json;
+    Json p = Json::object();
+    p.set("bench", Json::str("curve_selection"));
+    p.set("rows", bench::table_json(t));
+    p.set("koblitz_faster_at_matched_security",
+          Json::boolean(conclusions.koblitz_faster_at_matched_security));
+    p.set("binary_lower_power", Json::boolean(conclusions.binary_lower_power));
+    Json kp = Json::array();
     for (const auto& [cname, m] : measured) {
-      w.begin_object();
-      w.field("curve", cname);
+      Json row = Json::object();
+      row.set("curve", Json::str(cname));
       const auto it = by_name.find(cname);
       if (it != by_name.end()) {
-        w.field("model_cycles", it->second->point_mul_cycles);
+        row.set("model_cycles", Json::number(it->second->point_mul_cycles));
       }
-      w.field("measured_cycles", m.first);
-      w.field("measured_energy_uj", m.second);
-      w.end_object();
+      row.set("measured_cycles", Json::number(m.first));
+      row.set("measured_energy_uj", Json::number(m.second));
+      kp.push(std::move(row));
     }
-    w.end_array();
-    w.field("measured_binary_beats_prime", measured_ok);
-    bench::manifest_end(w);
-    w.write_file(json_path);
+    p.set("measured_kp", std::move(kp));
+    p.set("measured_binary_beats_prime", Json::boolean(measured_ok));
+    bench::write_manifest(json_path, "bench_curve_selection", std::move(p));
   }
   if (!conclusions.koblitz_faster_at_matched_security ||
       !conclusions.binary_lower_power || !measured_ok) {

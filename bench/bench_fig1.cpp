@@ -69,27 +69,28 @@ int main(int argc, char** argv) {
   const std::string json_path =
       bench::json_flag_path(argc, argv, "BENCH_fig1.json");
   if (!json_path.empty()) {
-    bench::JsonWriter w;
-    bench::manifest_begin(w, "bench_fig1");
-    w.field("bench", "fig1");
-    w.field("n", static_cast<std::uint64_t>(n));
-    w.field("window_base", static_cast<std::uint64_t>(w0));
-    w.begin_array("words");
+    using telemetry::Json;
+    Json p = Json::object();
+    p.set("bench", Json::str("fig1"));
+    p.set("n", Json::number(static_cast<std::uint64_t>(n)));
+    p.set("window_base", Json::number(static_cast<std::uint64_t>(w0)));
+    Json words = Json::array();
     for (std::size_t i = 0; i < 2 * n; ++i) {
       const bool reg = i >= w0 && i <= w0 + n;
       const int mult =
           static_cast<int>(n) - std::abs(static_cast<int>(i) - 7);
-      w.begin_object();
-      w.field("word", static_cast<std::uint64_t>(i));
-      w.field("residency", reg ? "REG" : "mem");
-      w.field("touches", static_cast<std::uint64_t>(8 * std::max(0, mult)));
-      w.end_object();
+      Json word = Json::object();
+      word.set("word", Json::number(static_cast<std::uint64_t>(i)));
+      word.set("residency", Json::str(reg ? "REG" : "mem"));
+      word.set("touches",
+               Json::number(static_cast<std::uint64_t>(8 * std::max(0, mult))));
+      words.push(std::move(word));
     }
-    w.end_array();
-    w.field("in_window_per_pass", static_cast<std::uint64_t>(in_window));
-    w.field("accumulations_per_pass", static_cast<std::uint64_t>(64));
-    bench::manifest_end(w);
-    w.write_file(json_path);
+    p.set("words", std::move(words));
+    p.set("in_window_per_pass",
+          Json::number(static_cast<std::uint64_t>(in_window)));
+    p.set("accumulations_per_pass", Json::number(std::uint64_t{64}));
+    bench::write_manifest(json_path, "bench_fig1", std::move(p));
   }
   return 0;
 }

@@ -3,8 +3,6 @@
 // cost of the instrumented and VM-executed paths.
 #include <benchmark/benchmark.h>
 
-#include <cstring>
-#include <string>
 #include <vector>
 
 #include "workloads/runner.h"
@@ -12,8 +10,7 @@
 #include "gf2/field.h"
 #include "gf2/k233.h"
 #include "gf2/traced.h"
-#include "manifest.h"
-#include "report.h"
+#include "gbench_main.h"
 
 using namespace eccm0;
 using gf2::k233::Fe;
@@ -131,34 +128,7 @@ BENCHMARK(BM_Vm_MulFixedKernel);
 
 }  // namespace
 
-// Accepts the repo-wide `--json[=PATH]` flag by translating it into
-// google-benchmark's JSON reporter before handing over the argv.
 int main(int argc, char** argv) {
-  const std::string json_path =
-      eccm0::bench::json_flag_path(argc, argv, "BENCH_host_field.json");
-  std::vector<char*> args;
-  std::string out_flag, fmt_flag = "--benchmark_out_format=json";
-  for (int i = 0; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json", 6) == 0) continue;
-    args.push_back(argv[i]);
-  }
-  if (!json_path.empty()) {
-    out_flag = "--benchmark_out=" + json_path;
-    args.push_back(out_flag.data());
-    args.push_back(fmt_flag.data());
-  }
-  int count = static_cast<int>(args.size());
-  benchmark::Initialize(&count, args.data());
-  if (benchmark::ReportUnrecognizedArguments(count, args.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  // Re-wrap the reporter file in the repo's manifest envelope (the
-  // google-benchmark payload is wall-clock data, so the envelope's
-  // metrics section stays empty).
-  if (!json_path.empty() &&
-      !eccm0::bench::wrap_file_in_manifest(json_path, "bench_host_field")) {
-    std::fprintf(stderr, "failed to rewrite %s\n", json_path.c_str());
-    return 1;
-  }
-  return 0;
+  return eccm0::bench::gbench_main(argc, argv, "bench_host_field",
+                                   "BENCH_host_field.json");
 }

@@ -2,16 +2,13 @@
 // algorithm comparison and protocol round trips.
 #include <benchmark/benchmark.h>
 
-#include <cstring>
-#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "crypto/ecdh.h"
 #include "crypto/ecdsa.h"
 #include "ec/scalarmul.h"
-#include "manifest.h"
-#include "report.h"
+#include "gbench_main.h"
 
 using namespace eccm0;
 using ec::AffinePoint;
@@ -121,34 +118,7 @@ BENCHMARK(BM_EcdsaVerify);
 
 }  // namespace
 
-// Accepts the repo-wide `--json[=PATH]` flag by translating it into
-// google-benchmark's JSON reporter before handing over the argv.
 int main(int argc, char** argv) {
-  const std::string json_path =
-      eccm0::bench::json_flag_path(argc, argv, "BENCH_host_point.json");
-  std::vector<char*> args;
-  std::string out_flag, fmt_flag = "--benchmark_out_format=json";
-  for (int i = 0; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json", 6) == 0) continue;
-    args.push_back(argv[i]);
-  }
-  if (!json_path.empty()) {
-    out_flag = "--benchmark_out=" + json_path;
-    args.push_back(out_flag.data());
-    args.push_back(fmt_flag.data());
-  }
-  int count = static_cast<int>(args.size());
-  benchmark::Initialize(&count, args.data());
-  if (benchmark::ReportUnrecognizedArguments(count, args.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  // Re-wrap the reporter file in the repo's manifest envelope (the
-  // google-benchmark payload is wall-clock data, so the envelope's
-  // metrics section stays empty).
-  if (!json_path.empty() &&
-      !eccm0::bench::wrap_file_in_manifest(json_path, "bench_host_point")) {
-    std::fprintf(stderr, "failed to rewrite %s\n", json_path.c_str());
-    return 1;
-  }
-  return 0;
+  return eccm0::bench::gbench_main(argc, argv, "bench_host_point",
+                                   "BENCH_host_point.json");
 }

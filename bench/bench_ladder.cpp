@@ -79,15 +79,13 @@ int main(int argc, char** argv) {
   const std::string json_path =
       bench::json_flag_path(argc, argv, "BENCH_ladder.json");
   if (!json_path.empty()) {
-    bench::JsonWriter w;
-    bench::manifest_begin(w, "bench_ladder");
-    w.field("bench", "ladder");
-    w.raw("rows", t.to_json());
-    w.field("wtnaf_kp_cycles", kob.cost.total());
-    w.field("wnaf_doubling_cycles", wnaf_cycles);
-    w.field("ladder_cycles", ladder_cycles);
-    bench::manifest_end(w);
-    w.write_file(json_path);
+    telemetry::Json p = telemetry::Json::object();
+    p.set("bench", telemetry::Json::str("ladder"));
+    p.set("rows", bench::table_json(t));
+    p.set("wtnaf_kp_cycles", telemetry::Json::number(kob.cost.total()));
+    p.set("wnaf_doubling_cycles", telemetry::Json::number(wnaf_cycles));
+    p.set("ladder_cycles", telemetry::Json::number(ladder_cycles));
+    bench::write_manifest(json_path, "bench_ladder", std::move(p));
   }
 
   std::printf(

@@ -11,7 +11,9 @@
 //
 // The JSON mirror is fully deterministic — classification counts and
 // simulated costs only, no wall-clock numbers — so CI can require the
-// parallel re-run to be byte-identical to the committed baseline.
+// parallel re-run to be byte-identical to the committed baseline. The
+// campaign front-end (tables + payload) is shared with `ecctool
+// memfault` (campaigns.h).
 //
 // Flags (bench::Args): --runs=N (default 200 per cell), --quick (40),
 //        --seed=S, --curve=NAME (sect233k1 default; secp curves splice
@@ -22,40 +24,12 @@
 //        --json[=PATH] (default BENCH_memfault.json).
 #include <chrono>
 #include <cstdio>
-#include <string>
-#include <vector>
+#include <utility>
 
-#include "armvm/dispatch.h"
-#include "faultsim/campaign.h"
+#include "campaigns.h"
 #include "manifest.h"
-#include "report.h"
-#include "telemetry/metrics.h"
-#include "telemetry/progress.h"
-#include "workloads/spec.h"
-
-namespace {
 
 using namespace eccm0;
-
-std::string pct(double rate) { return bench::fmt_f(rate * 100.0, 1) + "%"; }
-
-std::string fmt_ber(double ber) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.0e", ber);
-  return buf;
-}
-
-/// First swept BER at which `profile` leaks silent-wrong results under
-/// this model, or "none-in-sweep".
-std::string first_silent_ber(const faultsim::MemModelReport& rep,
-                             unsigned profile) {
-  for (const faultsim::MemCell& cell : rep.cells) {
-    if (cell.per_profile[profile].silent > 0) return fmt_ber(cell.ber);
-  }
-  return "none-in-sweep";
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   faultsim::MemCampaignConfig cfg;
@@ -68,196 +42,27 @@ int main(int argc, char** argv) {
   args.add_u64("--runs", &cfg.runs_per_cell);
   args.add_u64("--scrub", &cfg.scrub_interval);
   if (!args.parse(argc - 1, argv + 1, "BENCH_memfault.json") ||
-      !args.positionals().empty()) {
+      !args.positionals().empty() || !bench::check_curve(args.curve)) {
     return 2;
   }
-  cfg.seed = args.seed;
-  cfg.threads = args.threads;
-  cfg.engine = armvm::decode_mode_from_name(args.engine);
-  try {
-    (void)workloads::curve_from_name(args.curve);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
-  cfg.curve = args.curve;
   if (quick) cfg.runs_per_cell = 40;
-  const std::string json_path = args.json_path;
 
   telemetry::MetricsRegistry metrics;
-  telemetry::ProgressMeter progress(
-      telemetry::progress_mode_from_name(args.progress), "mem campaign",
-      cfg.runs_per_cell * cfg.bers.size() * cfg.models.size());
-  cfg.metrics = &metrics;
-  cfg.progress = &progress;
-
-  bench::banner("Memory-fault campaign: SRAM bit errors vs codeword models");
-  std::printf("seed 0x%llx, curve %s, %llu runs per (model x BER) cell, "
-              "%u thread(s), engine %s, SECDED scrub every %llu accesses\n\n",
-              static_cast<unsigned long long>(cfg.seed), cfg.curve.c_str(),
-              static_cast<unsigned long long>(cfg.runs_per_cell), cfg.threads,
-              args.engine.c_str(),
-              static_cast<unsigned long long>(cfg.scrub_interval));
-
   const auto t0 = std::chrono::steady_clock::now();
-  const faultsim::MemCampaignResult res = faultsim::run_mem_campaign(cfg);
+  bench::MemCampaignRun run = bench::run_mem_campaign(cfg, args, metrics);
   const auto t1 = std::chrono::steady_clock::now();
   const double wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  const auto& profiles = faultsim::protection_profiles();
-
-  // Silent-corruption matrices: model x BER, weakest and strongest
-  // software profile. The strongest row is the paper-level claim: what
-  // leaks through scalarmul_protected when the SRAM itself goes bad.
-  std::vector<std::string> ber_names;
-  for (double b : cfg.bers) ber_names.push_back(fmt_ber(b));
-  for (unsigned p : {0u, faultsim::kNumProfiles - 1}) {
-    bench::banner(("silent corruption, software profile '" +
-                   std::string(profiles[p].name) + "'")
-                      .c_str());
-    bench::Matrix m("model \\ BER", ber_names);
-    for (const auto& rep : res.models) {
-      std::vector<std::string> cells;
-      for (const auto& cell : rep.cells) {
-        cells.push_back(pct(cell.per_profile[p].silent_rate()));
-      }
-      m.add_row(armvm::mem_model_name(rep.config.kind), std::move(cells));
-    }
-    m.print();
-  }
-
-  // Outcome detail per model.
-  for (const auto& rep : res.models) {
-    bench::banner(armvm::mem_model_name(rep.config.kind));
-    bench::Table t({"BER", "profile", "correct", "corrected", "detected",
-                    "crashed", "silent", "hw-fix", "scrub-fix"});
-    for (const auto& cell : rep.cells) {
-      for (unsigned p = 0; p < faultsim::kNumProfiles; ++p) {
-        const auto& o = cell.per_profile[p];
-        t.add_row({fmt_ber(cell.ber), profiles[p].name,
-                   bench::fmt_u64(o.correct), bench::fmt_u64(o.corrected),
-                   bench::fmt_u64(o.detected), bench::fmt_u64(o.crashed),
-                   bench::fmt_u64(o.silent), bench::fmt_u64(cell.hw_corrections),
-                   bench::fmt_u64(cell.scrub_corrections)});
-      }
-    }
-    t.print();
-  }
-
-  // What each codeword scheme costs when nothing goes wrong: one clean
-  // VM mul kernel call, wait-states included (Table-3 kMemWait pricing).
-  bench::banner("clean-run codeword overhead (one VM mul kernel call)");
-  bench::Table cost({"model", "wait-states", "cycles", "cycle overhead",
-                     "energy pJ", "energy overhead"});
-  const std::uint64_t base_cycles = res.models.front().clean_cycles;
-  const double base_pj = res.models.front().clean_energy_pj;
-  for (const auto& rep : res.models) {
-    const double cyc_over =
-        100.0 * (static_cast<double>(rep.clean_cycles) /
-                     static_cast<double>(base_cycles) -
-                 1.0);
-    const double pj_over = 100.0 * (rep.clean_energy_pj / base_pj - 1.0);
-    cost.add_row({armvm::mem_model_name(rep.config.kind),
-                  std::to_string(rep.config.wait_states),
-                  bench::fmt_u64(rep.clean_cycles),
-                  bench::fmt_f(cyc_over, 2) + "%",
-                  bench::fmt_f(rep.clean_energy_pj, 0),
-                  bench::fmt_f(pj_over, 2) + "%"});
-  }
-  cost.print();
-
-  // Headline: where does each scheme start leaking silent corruption?
-  bench::banner("silent-wrong onset (first BER in sweep with silent > 0)");
-  bench::Table onset({"model", "unprotected kP", "scalarmul_protected"});
-  for (const auto& rep : res.models) {
-    onset.add_row({armvm::mem_model_name(rep.config.kind),
-                   first_silent_ber(rep, 0),
-                   first_silent_ber(rep, faultsim::kNumProfiles - 1)});
-  }
-  onset.print();
   std::printf("\ncampaign wall time: %.2f s (%u thread(s))\n", wall_seconds,
-              cfg.threads);
+              run.result.config.threads);
 
   bench::banner("telemetry");
   metrics.print(stdout);
 
-  if (!json_path.empty()) {
+  if (args.json) {
     // Deterministic payload only: byte-identical for any --threads, so
     // the CI gate can strict-compare against the committed baseline.
-    bench::JsonWriter w;
-    bench::manifest_begin(w, "bench_memfault", &args);
-    w.field("bench", "memfault");
-    w.field("curve", cfg.curve);
-    w.field("seed", cfg.seed);
-    w.field("runs_per_cell", cfg.runs_per_cell);
-    w.field("engine", args.engine);
-    w.field("scrub_interval", cfg.scrub_interval);
-    w.begin_array("bers");
-    for (double b : cfg.bers) {
-      w.begin_object();
-      w.field("ber", b);
-      w.end_object();
-    }
-    w.end_array();
-    w.begin_array("overhead");
-    for (const auto& rep : res.models) {
-      w.begin_object();
-      w.field("model", armvm::mem_model_name(rep.config.kind));
-      w.field("wait_states", static_cast<std::uint64_t>(rep.config.wait_states));
-      w.field("storage_bits_per_word",
-              static_cast<std::uint64_t>(
-                  rep.config.kind == armvm::MemModelKind::kRaw ? 32
-                  : rep.config.kind == armvm::MemModelKind::kParity ? 33
-                                                                    : 39));
-      w.field("clean_cycles", rep.clean_cycles);
-      w.field("clean_energy_pj", rep.clean_energy_pj);
-      w.end_object();
-    }
-    w.end_array();
-    w.begin_array("models");
-    for (const auto& rep : res.models) {
-      w.begin_object();
-      w.field("model", armvm::mem_model_name(rep.config.kind));
-      w.begin_array("cells");
-      for (const auto& cell : rep.cells) {
-        w.begin_object();
-        w.field("ber", cell.ber);
-        w.field("flipped_bits", cell.flipped_bits);
-        w.field("hw_corrections", cell.hw_corrections);
-        w.field("scrub_corrections", cell.scrub_corrections);
-        w.begin_array("profiles");
-        for (unsigned p = 0; p < faultsim::kNumProfiles; ++p) {
-          const auto& o = cell.per_profile[p];
-          w.begin_object();
-          w.field("profile", profiles[p].name);
-          w.field("correct", o.correct);
-          w.field("corrected", o.corrected);
-          w.field("detected", o.detected);
-          w.field("crashed", o.crashed);
-          w.field("silent", o.silent);
-          w.field("silent_rate", o.silent_rate());
-          w.end_object();
-        }
-        w.end_array();
-        w.end_object();
-      }
-      w.end_array();
-      w.end_object();
-    }
-    w.end_array();
-    w.begin_array("headline");
-    for (const auto& rep : res.models) {
-      w.begin_object();
-      w.field("model", armvm::mem_model_name(rep.config.kind));
-      w.field("first_silent_ber_unprotected", first_silent_ber(rep, 0));
-      w.field("first_silent_ber_protected",
-              first_silent_ber(rep, faultsim::kNumProfiles - 1));
-      w.end_object();
-    }
-    w.end_array();
-    bench::manifest_end(w, &metrics);
-    if (w.write_file(json_path)) {
-      std::printf("\nJSON written to %s\n", json_path.c_str());
-    }
+    bench::write_manifest(args.json_path, "bench_memfault",
+                          std::move(run.payload), &args, &metrics);
   }
 
   // The bench doubles as an assertion of the acceptance criterion:
@@ -266,8 +71,8 @@ int main(int argc, char** argv) {
   // codeword scheme has to buy measurable integrity, not just cycles.
   const faultsim::MemModelReport* raw = nullptr;
   const faultsim::MemModelReport* secded = nullptr;
-  for (const auto& rep : res.models) {
-    if (rep.config.kind == armvm::MemModelKind::kRaw) raw = &rep;
+  for (const auto& rep : run.result.models) {
+    if (rep.config == armvm::MemModelConfig::raw()) raw = &rep;
     if (rep.config.kind == armvm::MemModelKind::kSecded) secded = &rep;
   }
   if (raw != nullptr && secded != nullptr) {

@@ -22,26 +22,47 @@
 //        predecode engine), --curve=NAME (restrict to one curve),
 //        --json[=PATH] (default BENCH_prime_vs_binary.json).
 #include <cstdio>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "armvm/dispatch.h"
 #include "common/rng.h"
 #include "manifest.h"
 #include "mpint/uint.h"
-#include "report.h"
+#include "service/payloads.h"
 #include "workloads/spec.h"
 
 namespace {
 
 using namespace eccm0;
+using telemetry::Json;
 
 std::string hex64(std::uint64_t v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(v));
   return buf;
+}
+
+/// One table row of the JSON mirror, projected from the workload payload
+/// (service::workload_payload, the one serializer of a replay result):
+/// fmul/fsqr/finv flatten its op mix and `digest` spells the output
+/// digest in hex; every other key is copied through.
+Json replay_row(const Json& payload, std::initializer_list<const char*> keys) {
+  Json row = Json::object();
+  for (const std::string key : keys) {
+    if (key == "fmul" || key == "fsqr" || key == "finv") {
+      row.set(key, *payload.get("ops")->get(key.substr(1)));
+    } else if (key == "digest") {
+      row.set(key, Json::str(hex64(payload.get("output_digest")->as_u64())));
+    } else {
+      row.set(key, *payload.get(key));
+    }
+  }
+  return row;
 }
 
 /// 32x32 limb products of one n-limb school-book multiplication.
@@ -94,15 +115,14 @@ int main(int argc, char** argv) {
   const unsigned engine0 = quick ? 1 : 0;  // quick: predecode only
 
   bool ok = true;
-  bench::JsonWriter w;
-  bench::manifest_begin(w, "bench_prime_vs_binary", &args);
-  w.field("bench", "prime_vs_binary");
+  Json json = Json::object();
+  json.set("bench", Json::str("prime_vs_binary"));
 
   // ---- 1. kP per curve per engine --------------------------------------
   bench::banner("kP workload: cycles + Table-3 energy, per curve per engine");
   bench::Table kp({"curve", "field", "engine", "Fmul", "Fsqr", "Finv",
                    "instructions", "cycles", "energy uJ", "fused", "digest"});
-  w.begin_array("kp");
+  Json kp_rows = Json::array();
   for (const std::string& cname : curves) {
     const workloads::WorkloadSpec spec = workloads::kp_workload(cname);
     std::uint64_t ref_cycles = 0, ref_digest = 0, ref_instr = 0;
@@ -131,22 +151,14 @@ int main(int argc, char** argv) {
                      hex64(r.output_digest).c_str(), hex64(ref_digest).c_str());
         ok = false;
       }
-      w.begin_object();
-      w.field("curve", cname);
-      w.field("engine", kEngines[e].name);
-      w.field("fmul", spec.ops.mul);
-      w.field("fsqr", spec.ops.sqr);
-      w.field("finv", spec.ops.inv);
-      w.field("instructions", r.stats.instructions);
-      w.field("cycles", r.stats.cycles);
-      w.field("energy_uj", uj);
-      w.field("fused_retired", r.fused_retired);
-      w.field("digest", hex64(r.output_digest));
-      w.end_object();
+      kp_rows.push(replay_row(
+          service::workload_payload(spec, 1, r, kEngines[e].mode, {}),
+          {"curve", "engine", "fmul", "fsqr", "finv", "instructions",
+           "cycles", "energy_uj", "fused_retired", "digest"}));
     }
   }
   kp.print();
-  w.end_array();
+  json.set("kp", std::move(kp_rows));
   std::printf("\nEvery engine must retire identical work and produce the\n"
               "same output digest; the table doubles as the differential\n"
               "harness over the prime kernels.\n");
@@ -156,7 +168,7 @@ int main(int argc, char** argv) {
     bench::banner("protocol transactions (predecode engine)");
     bench::Table tx({"curve", "transaction", "kP count", "Fmul", "Fsqr",
                      "Finv", "cycles", "energy uJ", "digest"});
-    w.begin_array("transactions");
+    Json tx_rows = Json::array();
     for (const std::string& cname : curves) {
       for (const char* t : {"kp", "ecdh", "ecdsa"}) {
         const workloads::WorkloadSpec spec = workloads::make_workload(t, cname);
@@ -168,21 +180,15 @@ int main(int argc, char** argv) {
                     bench::fmt_u64(spec.ops.inv),
                     bench::fmt_u64(r.stats.cycles), bench::fmt_f(uj, 2),
                     hex64(r.output_digest)});
-        w.begin_object();
-        w.field("curve", cname);
-        w.field("transaction", t);
-        w.field("point_muls", static_cast<std::uint64_t>(spec.point_muls));
-        w.field("fmul", spec.ops.mul);
-        w.field("fsqr", spec.ops.sqr);
-        w.field("finv", spec.ops.inv);
-        w.field("cycles", r.stats.cycles);
-        w.field("energy_uj", uj);
-        w.field("digest", hex64(r.output_digest));
-        w.end_object();
+        tx_rows.push(replay_row(
+            service::workload_payload(spec, 1, r,
+                                      armvm::Cpu::DecodeMode::kPredecode, {}),
+            {"curve", "transaction", "point_muls", "fmul", "fsqr", "finv",
+             "cycles", "energy_uj", "digest"}));
       }
     }
     tx.print();
-    w.end_array();
+    json.set("transactions", std::move(tx_rows));
   }
 
   // ---- 3. Karatsuba-threshold ablation ---------------------------------
@@ -195,7 +201,7 @@ int main(int argc, char** argv) {
               mpint::kKaratsubaThreshold);
   bench::Table ka({"limbs", "school-book", "operator*", "ratio",
                    "path", "cross-check"});
-  w.begin_array("karatsuba_ablation");
+  Json ablation = Json::array();
   for (std::uint64_t n : {6, 8, 12, 16, 24, 32, 48, 64, 96, 128}) {
     const std::uint64_t sb = schoolbook_products(n);
     const std::uint64_t op = operator_products(n);
@@ -225,29 +231,25 @@ int main(int argc, char** argv) {
                              3),
                 karatsuba ? "karatsuba" : "school-book",
                 match ? "ok" : "MISMATCH"});
-    w.begin_object();
-    w.field("limbs", n);
-    w.field("schoolbook_products", sb);
-    w.field("operator_products", op);
-    w.field("path", karatsuba ? "karatsuba" : "school-book");
-    w.end_object();
+    Json row = Json::object();
+    row.set("limbs", Json::number(n));
+    row.set("schoolbook_products", Json::number(sb));
+    row.set("operator_products", Json::number(op));
+    row.set("path", Json::str(karatsuba ? "karatsuba" : "school-book"));
+    ablation.push(std::move(row));
   }
   ka.print();
-  w.end_array();
+  json.set("karatsuba_ablation", std::move(ablation));
   std::printf("\nThe recursion only wins once the 3x half-size products\n"
               "amortise the extra additions; below the threshold (every\n"
               "ECC size in this repo) school-book keeps the committed\n"
               "cycle baselines and op counts exact.\n");
 
-  w.field("self_check", ok ? "pass" : "fail");
-  bench::manifest_end(w);
-  if (args.json) {
-    if (w.write_file(args.json_path)) {
-      std::printf("\nJSON written to %s\n", args.json_path.c_str());
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", args.json_path.c_str());
-      return 1;
-    }
+  json.set("self_check", Json::str(ok ? "pass" : "fail"));
+  if (args.json && !bench::write_manifest(args.json_path,
+                                          "bench_prime_vs_binary",
+                                          std::move(json), &args)) {
+    return 1;
   }
   if (!ok) {
     std::fprintf(stderr, "\nself-check FAILED\n");

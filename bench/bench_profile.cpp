@@ -15,20 +15,21 @@
 //     trace-event / Perfetto, simulated 48 MHz clock) and
 //     profile_flame.txt (collapsed stacks for flamegraph.pl).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <stdexcept>
+#include <initializer_list>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "armvm/cpu.h"
 #include "asmkernels/gen.h"
-#include "manifest.h"
+#include "campaigns.h"
 #include "ec/costing.h"
+#include "manifest.h"
 #include "profile/heatmap.h"
 #include "profile/profiler.h"
 #include "profile/trace_export.h"
-#include "report.h"
+#include "service/payloads.h"
 #include "workloads/kp_mix.h"
 #include "workloads/registry.h"
 #include "workloads/spec.h"
@@ -104,19 +105,74 @@ void print_functions(Machine& m) {
               m.name.c_str(), static_cast<unsigned long long>(s.instructions),
               static_cast<unsigned long long>(s.cycles),
               s.energy().energy_uj());
-  bench::Table t({"function", "calls", "instrs", "self cyc", "incl cyc",
-                  "self uJ", "self %"});
-  for (const auto& f : m.prof.functions()) {
-    t.add_row({f.name, bench::fmt_u64(f.calls), bench::fmt_u64(f.instructions),
-               bench::fmt_u64(f.self_cycles),
-               bench::fmt_u64(f.inclusive_cycles),
-               bench::fmt_f(f.self_energy_pj() * 1e-6, 4),
-               bench::fmt_f(100.0 * static_cast<double>(f.self_cycles) /
-                                static_cast<double>(s.cycles),
-                            1)});
+  bench::print_functions(m.prof.functions(), s.cycles);
+  std::printf("\n");
+}
+
+/// Loads/stores per named RAM region of one machine.
+void print_regions(const Machine& m,
+                   std::span<const profile::MemHeatmap::Region> regions) {
+  std::printf("%s RAM regions:\n", m.name.c_str());
+  bench::Table t({"region", "loads", "stores", "peak word"});
+  for (const auto& rep : m.heat.summarize(regions)) {
+    t.add_row({rep.name, bench::fmt_u64(rep.loads), bench::fmt_u64(rep.stores),
+               bench::fmt_u64(rep.peak_word_traffic)});
   }
   t.print();
-  std::printf("\n");
+}
+
+/// The Perfetto timeline and collapsed stacks of the given machines.
+void export_traces(std::initializer_list<Machine*> machines) {
+  std::vector<profile::NamedProfile> tracks;
+  for (Machine* m : machines) tracks.push_back({m->name, &m->prof});
+  if (!profile::write_text_file("profile_trace.json",
+                                profile::chrome_trace_json(tracks)) ||
+      !profile::write_text_file("profile_flame.txt",
+                                profile::collapsed_stack_text(tracks))) {
+    std::fprintf(stderr, "warning: could not write trace exports\n");
+  } else {
+    std::printf("\nwrote profile_trace.json (Perfetto / chrome://tracing) "
+                "and profile_flame.txt (flamegraph.pl)\n");
+  }
+}
+
+/// The payload both curve families share: the kP field-op mix and each
+/// machine's totals, function table and call sites.
+telemetry::Json profile_json(const std::string& kind,
+                             const ec::FieldOpCounts& ops,
+                             std::initializer_list<Machine*> machines) {
+  using telemetry::Json;
+  Json p = Json::object();
+  p.set("bench", Json::str("profile"));
+  Json workload = Json::object();
+  workload.set("kind", Json::str(kind));
+  workload.set("mul", Json::number(ops.mul));
+  workload.set("sqr", Json::number(ops.sqr));
+  workload.set("inv", Json::number(ops.inv));
+  p.set("workload", std::move(workload));
+  Json all = Json::object();
+  for (Machine* m : machines) {
+    const armvm::RunStats s = m->cpu.stats();
+    Json mj = Json::object();
+    mj.set("instructions", Json::number(s.instructions));
+    mj.set("cycles", Json::number(s.cycles));
+    mj.set("energy_uj", Json::number(s.energy().energy_uj()));
+    mj.set("totals_match_runstats", Json::boolean(true));
+    mj.set("functions", service::functions_payload(m->prof.functions()));
+    Json sites = Json::array();
+    for (const auto& cs : m->prof.call_sites()) {
+      Json cj = Json::object();
+      cj.set("site_pc", Json::number(std::uint64_t{cs.site_pc}));
+      cj.set("caller", Json::str(cs.caller));
+      cj.set("callee", Json::str(cs.callee));
+      cj.set("count", Json::number(cs.count));
+      sites.push(std::move(cj));
+    }
+    mj.set("call_sites", std::move(sites));
+    all.set(m->name, std::move(mj));
+  }
+  p.set("machines", std::move(all));
+  return p;
 }
 
 /// `--curve=secpNNNr1` profile: the curve's Montgomery kernel mix of one
@@ -164,65 +220,15 @@ int run_prime_profile(const bench::Args& args,
       {"y (multiplicand)", asmkernels::kYOff, n},
       {"modulus", asmkernels::kPModOff, n},
   };
-  std::printf("%s-mont RAM regions:\n", curve.kernel_tag.c_str());
-  bench::Table rt({"region", "loads", "stores", "peak word"});
-  for (const auto& rep : mont.heat.summarize(kMontRegions)) {
-    rt.add_row({rep.name, bench::fmt_u64(rep.loads),
-                bench::fmt_u64(rep.stores),
-                bench::fmt_u64(rep.peak_word_traffic)});
-  }
-  rt.print();
+  print_regions(mont, kMontRegions);
+  export_traces({&mont, &sqr, &inv});
 
-  const profile::NamedProfile tracks[] = {
-      {curve.kernel_tag + "-mont", &mont.prof},
-      {curve.kernel_tag + "-sqr", &sqr.prof},
-      {curve.kernel_tag + "-inv", &inv.prof}};
-  if (profile::write_text_file("profile_trace.json",
-                               profile::chrome_trace_json(tracks)) &&
-      profile::write_text_file("profile_flame.txt",
-                               profile::collapsed_stack_text(tracks))) {
-    std::printf("\nwrote profile_trace.json (Perfetto / chrome://tracing) "
-                "and profile_flame.txt (flamegraph.pl)\n");
-  }
-
-  if (!args.json) return 0;
-  bench::JsonWriter w;
-  bench::manifest_begin(w, "bench_profile", &args);
-  w.field("bench", "profile");
-  w.begin_object("workload");
-  w.field("kind", "Jacobian wNAF w=4 kP field-kernel mix, " + curve.name);
-  w.field("mul", ops.mul);
-  w.field("sqr", ops.sqr);
-  w.field("inv", ops.inv);
-  w.end_object();
-  w.begin_object("machines");
-  for (Machine* m : {&mont, &sqr, &inv}) {
-    const armvm::RunStats s = m->cpu.stats();
-    w.begin_object(m->name.c_str());
-    w.field("instructions", s.instructions);
-    w.field("cycles", s.cycles);
-    w.field("energy_uj", s.energy().energy_uj());
-    w.field("totals_match_runstats", true);
-    w.begin_array("functions");
-    for (const auto& f : m->prof.functions()) {
-      w.begin_object();
-      w.field("name", f.name);
-      w.field("calls", f.calls);
-      w.field("instructions", f.instructions);
-      w.field("self_cycles", f.self_cycles);
-      w.field("inclusive_cycles", f.inclusive_cycles);
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-  }
-  w.end_object();
-  bench::manifest_end(w);
-  if (!w.write_file(args.json_path)) {
-    std::fprintf(stderr, "warning: could not write %s\n",
-                 args.json_path.c_str());
-  } else {
-    std::printf("wrote %s\n", args.json_path.c_str());
+  if (args.json) {
+    bench::write_manifest(
+        args.json_path, "bench_profile",
+        profile_json("Jacobian wNAF w=4 kP field-kernel mix, " + curve.name,
+                     ops, {&mont, &sqr, &inv}),
+        &args);
   }
   return 0;
 }
@@ -235,13 +241,9 @@ int main(int argc, char** argv) {
       !args.positionals().empty()) {
     return 2;
   }
-  try {
-    const workloads::CurveRef& curve = workloads::curve_from_name(args.curve);
-    if (!curve.binary_field) return run_prime_profile(args, curve);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
+  if (!bench::check_curve(args.curve)) return 2;
+  const workloads::CurveRef& curve = workloads::curve_from_name(args.curve);
+  if (!curve.binary_field) return run_prime_profile(args, curve);
 
   bench::banner(
       "kP field-kernel profile - symbol attribution + RAM heatmap");
@@ -331,98 +333,33 @@ int main(int argc, char** argv) {
       {"y (multiplicand)", asmkernels::kYOff, 8},
       {"LUT (16x8)", asmkernels::kLutOff, 16 * 8},
   };
-  std::printf("mul_fixed RAM regions:\n");
-  bench::Table rt({"region", "loads", "stores", "peak word"});
-  for (const auto& rep : mul.heat.summarize(kMulRegions)) {
-    rt.add_row({rep.name, bench::fmt_u64(rep.loads),
-                bench::fmt_u64(rep.stores),
-                bench::fmt_u64(rep.peak_word_traffic)});
-  }
-  rt.print();
-
-  // --- Exports. ------------------------------------------------------
-  const profile::NamedProfile tracks[] = {
-      {"mul_fixed", &mul.prof}, {"sqr", &sqr.prof}, {"inv", &inv.prof}};
-  if (!profile::write_text_file("profile_trace.json",
-                                profile::chrome_trace_json(tracks)) ||
-      !profile::write_text_file("profile_flame.txt",
-                                profile::collapsed_stack_text(tracks))) {
-    std::fprintf(stderr, "warning: could not write trace exports\n");
-  } else {
-    std::printf("\nwrote profile_trace.json (Perfetto / chrome://tracing) "
-                "and profile_flame.txt (flamegraph.pl)\n");
-  }
+  print_regions(mul, kMulRegions);
+  export_traces({&mul, &sqr, &inv});
 
   // JSON is opt-in (the standard --json convention); the smoke run under
   // ctest exercises only the self-checks above.
   if (!args.json) return 0;
-  const std::string& json_path = args.json_path;
-  bench::JsonWriter w;
-  bench::manifest_begin(w, "bench_profile", &args);
-  w.field("bench", "profile");
-  w.begin_object("workload");
-  w.field("kind", "wTNAF w=4 kP field-kernel mix, sect233k1");
-  w.field("mul", ops.mul);
-  w.field("sqr", ops.sqr);
-  w.field("inv", ops.inv);
-  w.end_object();
-  w.begin_object("machines");
-  for (Machine* m : {&mul, &sqr, &inv}) {
-    const armvm::RunStats s = m->cpu.stats();
-    w.begin_object(m->name.c_str());
-    w.field("instructions", s.instructions);
-    w.field("cycles", s.cycles);
-    w.field("energy_uj", s.energy().energy_uj());
-    w.field("totals_match_runstats", true);
-    w.begin_array("functions");
-    for (const auto& f : m->prof.functions()) {
-      w.begin_object();
-      w.field("name", f.name);
-      w.field("calls", f.calls);
-      w.field("instructions", f.instructions);
-      w.field("self_cycles", f.self_cycles);
-      w.field("inclusive_cycles", f.inclusive_cycles);
-      w.field("self_energy_pj", f.self_energy_pj());
-      w.field("inclusive_energy_pj", f.inclusive_energy_pj());
-      w.end_object();
-    }
-    w.end_array();
-    w.begin_array("call_sites");
-    for (const auto& cs : m->prof.call_sites()) {
-      w.begin_object();
-      w.field("site_pc", static_cast<std::uint64_t>(cs.site_pc));
-      w.field("caller", cs.caller);
-      w.field("callee", cs.callee);
-      w.field("count", cs.count);
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-  }
-  w.end_object();
-  w.begin_object("heatmap");
-  w.field("pinned_words", "v[3..11]");
-  w.field("fixed_pinned_traffic", fixed_pinned);
-  w.field("plain_pinned_traffic", plain_pinned);
-  w.field("claim_observed", true);
-  w.begin_array("v_words");
+  using telemetry::Json;
+  Json p = profile_json("wTNAF w=4 kP field-kernel mix, sect233k1", ops,
+                        {&mul, &sqr, &inv});
+  Json heatmap = Json::object();
+  heatmap.set("pinned_words", Json::str("v[3..11]"));
+  heatmap.set("fixed_pinned_traffic", Json::number(fixed_pinned));
+  heatmap.set("plain_pinned_traffic", Json::number(plain_pinned));
+  heatmap.set("claim_observed", Json::boolean(true));
+  Json words = Json::array();
   for (std::size_t word = 0; word < 16; ++word) {
     const std::size_t idx = asmkernels::kVOff / 4 + word;
-    w.begin_object();
-    w.field("word", static_cast<std::uint64_t>(word));
-    w.field("fixed_loads", mul.heat.loads_at(idx));
-    w.field("fixed_stores", mul.heat.stores_at(idx));
-    w.field("plain_loads", plain.heat.loads_at(idx));
-    w.field("plain_stores", plain.heat.stores_at(idx));
-    w.end_object();
+    Json wj = Json::object();
+    wj.set("word", Json::number(std::uint64_t{word}));
+    wj.set("fixed_loads", Json::number(mul.heat.loads_at(idx)));
+    wj.set("fixed_stores", Json::number(mul.heat.stores_at(idx)));
+    wj.set("plain_loads", Json::number(plain.heat.loads_at(idx)));
+    wj.set("plain_stores", Json::number(plain.heat.stores_at(idx)));
+    words.push(std::move(wj));
   }
-  w.end_array();
-  w.end_object();
-  bench::manifest_end(w);
-  if (!w.write_file(json_path)) {
-    std::fprintf(stderr, "warning: could not write %s\n", json_path.c_str());
-  } else {
-    std::printf("wrote %s\n", json_path.c_str());
-  }
+  heatmap.set("v_words", std::move(words));
+  p.set("heatmap", std::move(heatmap));
+  bench::write_manifest(args.json_path, "bench_profile", std::move(p), &args);
   return 0;
 }

@@ -13,7 +13,8 @@
 // timing-constant and TVLA-clean, the EEA inversion and wTNAF must be
 // flagged). `--json[=PATH]` mirrors the verdicts and digests into
 // BENCH_sca.json; CI regenerates it with --threads=4 and diffs the
-// digests against the committed serial baseline.
+// digests against the committed serial baseline. The constant-trace and
+// TVLA front-ends are shared with `ecctool sca` (campaigns.h).
 //
 // Flags: --json[=PATH] --threads=N --seed=S --iters=N (traces per class)
 //        --curve=NAME (sect233k1 default; a secp curve swaps in its
@@ -22,32 +23,33 @@
 //        carry loop and the EEA inverse must be flagged; the host-level
 //        op-mix checks stay sect233k1-scoped and are skipped).
 #include <cstdio>
-#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "campaigns.h"
 #include "manifest.h"
-#include "report.h"
-#include "sca/campaign.h"
-#include "sca/ct_check.h"
-#include "telemetry/metrics.h"
-#include "telemetry/progress.h"
 #include "workloads/spec.h"
-
-namespace {
 
 using namespace eccm0;
 
-std::string hex64(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
+namespace {
+
+const char* verdict(bool ok, const char* pass, const char* fail) {
+  return ok ? pass : fail;
 }
 
-const char* verdict(bool ok, const char* pass = "PASS",
-                    const char* fail = "FLAG") {
-  return ok ? pass : fail;
+/// A kernel and the verdict the paper's constant-time story predicts
+/// for it (timing-constant, or TVLA-leaky).
+struct Expect {
+  std::string kernel;
+  bool expected;
+};
+
+std::vector<std::string> kernel_names(const std::vector<Expect>& list) {
+  std::vector<std::string> names;
+  for (const Expect& e : list) names.push_back(e.kernel);
+  return names;
 }
 
 }  // namespace
@@ -57,89 +59,42 @@ int main(int argc, char** argv) {
   args.seed = 0x5CA;
   args.iters = 40;  // TVLA traces per class
   if (!args.parse(argc - 1, argv + 1, "BENCH_sca.json") ||
-      !args.positionals().empty()) {
+      !args.positionals().empty() || !bench::check_curve(args.curve)) {
     return 2;
   }
-  const workloads::CurveRef* curve = nullptr;
-  try {
-    curve = &workloads::curve_from_name(args.curve);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
+  const workloads::CurveRef& curve = workloads::curve_from_name(args.curve);
 
   bool ok = true;
   telemetry::MetricsRegistry metrics;
-  telemetry::ProgressMeter progress(
-      telemetry::progress_mode_from_name(args.progress), "tvla traces",
-      3 * 2 * args.iters);
-  bench::JsonWriter json;
-  bench::manifest_begin(json, "bench_sca", &args);
-  json.field("bench", "sca");
-  json.field("curve", curve->name);
-  json.field("seed", args.seed);
-  json.field("traces_per_class", args.iters);
+  telemetry::Json json = bench::sca_payload(args, curve.name);
 
   // ---- 1. VM-level constant-trace verification -------------------------
-  bench::banner("Constant-trace verification (16 random operand draws)");
-  bench::Table ct({"kernel", "timing", "addresses", "instrs", "cycles",
-                   "digest", "first divergence"});
-  json.begin_array("constant_trace");
-  struct KernelExpect {
-    std::string kernel;
-    bool expect_timing;  // the paper's constant-time story
-  };
-  std::vector<KernelExpect> kKernels;
-  if (curve->binary_field) {
-    kKernels = {{"mul", true},  {"sqr", true}, {"reduce", true},
-                {"lut", true},  {"inv", false}};
+  // Expected: timing-constant (the paper's constant-time story).
+  std::vector<Expect> ct_expect;
+  if (curve.binary_field) {
+    ct_expect = {{"mul", true},  {"sqr", true}, {"reduce", true},
+                 {"lut", true},  {"inv", false}};
   } else {
     // Only the raw school-book product is straight-line. Every
     // Montgomery-reduced kernel carries the operand-dependent REDC
     // carry-propagation loop plus the final conditional subtract, and
     // the EEA inverse branches on operand bits.
-    const std::string& t = curve->kernel_tag;
-    kKernels = {{t + "-mul", true},   {t + "-mont", false},
-                {t + "-sqr", false},  {t + "-redc", false},
-                {t + "-inv", false}};
+    const std::string& t = curve.kernel_tag;
+    ct_expect = {{t + "-mul", true},   {t + "-mont", false},
+                 {t + "-sqr", false},  {t + "-redc", false},
+                 {t + "-inv", false}};
   }
-  for (const auto& [kernel, expect_timing] : kKernels) {
-    sca::CtConfig cfg;
-    cfg.kernel = kernel;
-    cfg.seed = args.seed;
-    cfg.metrics = &metrics;
-    const sca::CtReport rep = sca::check_kernel_constant_trace(cfg);
-    std::string where = "-";
-    if (rep.first.diverged) {
-      where = "#" + std::to_string(rep.first.index) + " " +
-              rep.first.symbol_a + " (" + rep.first.reason + ")";
-    }
-    std::string cycles = std::to_string(rep.ref_cycles);
-    if (rep.min_cycles != rep.max_cycles) {
-      cycles = std::to_string(rep.min_cycles) + ".." +
-               std::to_string(rep.max_cycles);
-    }
-    ct.add_row({kernel, verdict(rep.constant),
-                verdict(rep.constant_addresses), bench::fmt_u64(rep.trace_len),
-                cycles, hex64(rep.digest), where});
-    if (rep.constant != expect_timing) {
+  const std::vector<sca::CtReport> ct =
+      bench::run_constant_trace(kernel_names(ct_expect), args, metrics, json);
+  for (std::size_t i = 0; i < ct.size(); ++i) {
+    if (ct[i].constant != ct_expect[i].expected) {
       std::fprintf(stderr, "FAIL: kernel '%s' timing verdict %d, expected %d\n",
-                   kernel.c_str(), rep.constant, expect_timing);
+                   ct_expect[i].kernel.c_str(), ct[i].constant,
+                   ct_expect[i].expected);
       ok = false;
     }
-    json.begin_object();
-    json.field("kernel", kernel);
-    json.field("timing_constant", rep.constant);
-    json.field("addr_constant", rep.constant_addresses);
-    json.field("instructions", rep.trace_len);
-    json.field("min_cycles", rep.min_cycles);
-    json.field("max_cycles", rep.max_cycles);
-    json.field("digest", hex64(rep.digest));
-    json.end_object();
   }
-  ct.print();
-  json.end_array();
-  if (curve->binary_field) {
+  if (curve.binary_field) {
     std::printf(
         "\nmul and sqr FLAG on 'addresses': their lookup tables are indexed\n"
         "by operand nibbles/bytes. On the cacheless M0+ that stream costs\n"
@@ -160,7 +115,7 @@ int main(int argc, char** argv) {
   // (ladder uniformity, wTNAF scalar dependence, gf2::traced pricing);
   // the prime stack's cost accounting is audited by the campaign cost
   // profiles instead.
-  if (!curve->binary_field) {
+  if (!curve.binary_field) {
     bench::banner("Host-level operation-mix checks: skipped (sect233k1 scope)");
   } else {
   bench::banner("Host-level operation-mix checks");
@@ -190,75 +145,45 @@ int main(int argc, char** argv) {
   if (!tm.sqr_uniform || !tm.mul_within_tolerance || !tm.inv_flagged) {
     ok = false;
   }
-  json.begin_object("ladder");
-  json.field("uniform", lad.uniform);
-  json.field("steps", lad.steps);
-  json.field("mul", lad.step_mix.mul);
-  json.field("sqr", lad.step_mix.sqr);
-  json.field("add", lad.step_mix.add);
-  json.end_object();
-  json.begin_object("wtnaf");
-  json.field("uniform", wt.uniform);
-  json.field("min_total", wt.min_total);
-  json.field("max_total", wt.max_total);
-  json.end_object();
-  json.begin_object("traced_mix");
-  json.field("sqr_uniform", tm.sqr_uniform);
-  json.field("mul_spread", tm.mul_spread);
-  json.field("inv_spread", tm.inv_spread);
-  json.end_object();
+  using telemetry::Json;
+  Json ladder = Json::object();
+  ladder.set("uniform", Json::boolean(lad.uniform));
+  ladder.set("steps", Json::number(lad.steps));
+  ladder.set("mul", Json::number(lad.step_mix.mul));
+  ladder.set("sqr", Json::number(lad.step_mix.sqr));
+  ladder.set("add", Json::number(lad.step_mix.add));
+  json.set("ladder", std::move(ladder));
+  Json wtnaf = Json::object();
+  wtnaf.set("uniform", Json::boolean(wt.uniform));
+  wtnaf.set("min_total", Json::number(wt.min_total));
+  wtnaf.set("max_total", Json::number(wt.max_total));
+  json.set("wtnaf", std::move(wtnaf));
+  Json traced = Json::object();
+  traced.set("sqr_uniform", Json::boolean(tm.sqr_uniform));
+  traced.set("mul_spread", Json::number(tm.mul_spread));
+  traced.set("inv_spread", Json::number(tm.inv_spread));
+  json.set("traced_mix", std::move(traced));
   }
 
   // ---- 3. TVLA fixed-vs-random on the power rig ------------------------
-  bench::banner("TVLA fixed-vs-random (Welch t, |t| > 4.5)");
-  bench::Table tv({"kernel", "traces", "cycles", "max|t|", "raw>thr",
-                   "confirmed", "len-leak", "verdict", "t-digest"});
-  json.begin_array("tvla");
-  struct TvlaExpect {
-    std::string kernel;
-    bool expect_leaky;
-  };
-  std::vector<TvlaExpect> kTargets;
-  if (curve->binary_field) {
-    kTargets = {{"mul", false}, {"sqr", false}, {"inv", true}};
+  // Expected: TVLA-leaky.
+  std::vector<Expect> tvla_expect;
+  if (curve.binary_field) {
+    tvla_expect = {{"mul", false}, {"sqr", false}, {"inv", true}};
   } else {
-    const std::string& t = curve->kernel_tag;
-    kTargets = {{t + "-mul", false}, {t + "-mont", true}, {t + "-inv", true}};
+    const std::string& t = curve.kernel_tag;
+    tvla_expect = {{t + "-mul", false}, {t + "-mont", true}, {t + "-inv", true}};
   }
-  for (const auto& [kernel, expect_leaky] : kTargets) {
-    sca::TvlaCampaignConfig cfg;
-    cfg.kernel = kernel;
-    cfg.traces_per_class = static_cast<unsigned>(args.iters);
-    cfg.seed = args.seed;
-    cfg.threads = args.threads;
-    cfg.metrics = &metrics;
-    cfg.progress = &progress;
-    const sca::TvlaCampaignResult res = sca::run_tvla_campaign(cfg);
-    const sca::TvlaSummary& s = res.summary;
-    tv.add_row({kernel, bench::fmt_u64(res.traces),
-                bench::fmt_u64(s.compared_cycles), bench::fmt_f(s.max_abs_t),
-                bench::fmt_u64(s.cycles_over_raw),
-                bench::fmt_u64(s.cycles_over), s.length_leak ? "yes" : "no",
-                verdict(!s.leaky, "CLEAN", "LEAKY"), hex64(res.t_digest)});
-    if (s.leaky != expect_leaky) {
+  const std::vector<sca::TvlaCampaignResult> tv =
+      bench::run_tvla(kernel_names(tvla_expect), args, metrics, json);
+  for (std::size_t i = 0; i < tv.size(); ++i) {
+    if (tv[i].summary.leaky != tvla_expect[i].expected) {
       std::fprintf(stderr, "FAIL: kernel '%s' TVLA leaky=%d, expected %d\n",
-                   kernel.c_str(), s.leaky, expect_leaky);
+                   tvla_expect[i].kernel.c_str(), tv[i].summary.leaky,
+                   tvla_expect[i].expected);
       ok = false;
     }
-    json.begin_object();
-    json.field("kernel", kernel);
-    json.field("traces", res.traces);
-    json.field("compared_cycles", static_cast<std::uint64_t>(s.compared_cycles));
-    json.field("max_abs_t", s.max_abs_t);
-    json.field("cycles_over_raw", static_cast<std::uint64_t>(s.cycles_over_raw));
-    json.field("cycles_over", static_cast<std::uint64_t>(s.cycles_over));
-    json.field("length_leak", s.length_leak);
-    json.field("leaky", s.leaky);
-    json.field("t_digest", hex64(res.t_digest));
-    json.end_object();
   }
-  tv.print();
-  json.end_array();
   std::printf(
       "\nThe rig's power model is class-based, so TVLA here detects\n"
       "operand-dependent control flow: the straight-line kernels are\n"
@@ -271,10 +196,9 @@ int main(int argc, char** argv) {
   bench::banner("telemetry");
   metrics.print(stdout);
 
-  json.field("self_check", ok ? "pass" : "fail");
-  bench::manifest_end(json, &metrics);
-  if (args.json && !json.write_file(args.json_path)) {
-    std::fprintf(stderr, "cannot write %s\n", args.json_path.c_str());
+  json.set("self_check", telemetry::Json::str(ok ? "pass" : "fail"));
+  if (args.json && !bench::write_manifest(args.json_path, "bench_sca",
+                                          std::move(json), &args, &metrics)) {
     return 1;
   }
   if (!ok) {

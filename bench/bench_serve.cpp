@@ -60,12 +60,11 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// One op's identity record: the direct-library payload fields CI diffs.
+/// One op's identity record: the direct-library payload (whose cycles,
+/// instructions and output digest CI diffs) and the byte comparison.
 struct IdentityRow {
   std::string op;
-  std::uint64_t cycles = 0;
-  std::uint64_t instructions = 0;
-  std::uint64_t output_digest = 0;
+  telemetry::Json direct;
   bool match = false;
 };
 
@@ -89,19 +88,16 @@ bool check_identity(unsigned workers, const std::string& curve,
   rows.clear();
   for (const char* op : kOps) {
     const workloads::WorkloadSpec spec = workloads::make_workload(op, curve);
-    const workloads::ReplayResult direct = workloads::replay(spec, engine);
-    const std::string want =
-        service::workload_payload(spec, 1, direct, engine, {}).dump();
+    IdentityRow row;
+    row.op = op;
+    row.direct = service::workload_payload(
+        spec, 1, workloads::replay(spec, engine), engine, {});
+    const std::string want = row.direct.dump();
 
     const telemetry::Json resp = client.call(op, workload_params(curve));
     const std::string got = resp.get("ok")->as_bool()
                                 ? resp.get("payload")->dump()
                                 : resp.get("error")->dump();
-    IdentityRow row;
-    row.op = op;
-    row.cycles = direct.stats.cycles;
-    row.instructions = direct.stats.instructions;
-    row.output_digest = direct.output_digest;
     row.match = got == want;
     rows.push_back(row);
     if (!row.match) {
@@ -255,10 +251,12 @@ int main(int argc, char** argv) {
                          "served == direct"});
   for (const IdentityRow& r : rows) {
     char digest[32];
-    std::snprintf(digest, sizeof(digest), "%016llx",
-                  static_cast<unsigned long long>(r.output_digest));
-    id_table.add_row({r.op + "-" + args.curve, bench::fmt_u64(r.cycles),
-                      bench::fmt_u64(r.instructions), digest,
+    std::snprintf(
+        digest, sizeof(digest), "%016llx",
+        static_cast<unsigned long long>(r.direct.get("output_digest")->as_u64()));
+    id_table.add_row({r.op + "-" + args.curve,
+                      r.direct.get("cycles")->token(),
+                      r.direct.get("instructions")->token(), digest,
                       r.match ? "yes" : "NO"});
   }
   id_table.print();
@@ -345,62 +343,55 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(coalesced),
               enforce ? ", target >= 1.2x" : "");
 
-  // The committed baseline is load-bearing for the CI identity diff and
-  // the throughput floor, so the JSON mirror is written unconditionally.
-  std::string json_path = args.json_path;
-  if (json_path.empty()) json_path = "BENCH_serve.json";
-  bench::JsonWriter w;
-  bench::manifest_begin(w, "bench_serve", &args);
-  w.field("bench", "serve");
-  // Deterministic section: CI byte-diffs this object against the
-  // committed baseline (jq .payload.identity).
-  w.begin_object("identity");
-  w.field("engine", args.engine);
-  w.field("curve", args.curve);
-  w.begin_array("workers_checked");
-  w.begin_object();
-  w.field("workers", static_cast<std::uint64_t>(id_workers[0]));
-  w.end_object();
-  w.begin_object();
-  w.field("workers", static_cast<std::uint64_t>(id_workers[1]));
-  w.end_object();
-  w.end_array();
-  for (const IdentityRow& r : rows) {
-    w.begin_object(r.op.c_str());
-    w.field("cycles", r.cycles);
-    w.field("instructions", r.instructions);
-    w.field("output_digest", r.output_digest);
-    w.field("served_equals_direct", r.match);
-    w.end_object();
-  }
-  w.field("bit_identical", true);
-  w.end_object();
-  // Wall section: reported, never byte-compared (CI only floors kp rps).
-  w.begin_object("wall");
-  w.field("connections", static_cast<std::uint64_t>(conns));
-  w.field("per_connection", per_conn);
-  w.field("workers", static_cast<std::uint64_t>(wall_workers));
-  for (const WallRow& row : wall_rows) {
-    w.begin_object(row.op.c_str());
-    w.field("requests", row.r.requests);
-    w.field("rps", row.r.rps());
-    w.field("p50_us", row.r.latency_us.quantile(0.5));
-    w.field("p99_us", row.r.latency_us.quantile(0.99));
-    w.end_object();
-  }
-  w.end_object();
-  w.begin_object("coalesce");
-  w.field("requests", coalesce_total);
-  w.field("plain_rps", plain_r.rps());
-  w.field("coalesced_rps", batched_r.rps());
-  w.field("speedup", coalesce_speedup);
-  w.field("coalesced_requests", coalesced);
-  w.end_object();
-  bench::manifest_end(w, &id_metrics);
-  if (!w.write_file(json_path)) {
-    std::fprintf(stderr, "warning: could not write %s\n", json_path.c_str());
-  } else {
-    std::printf("wrote %s\n", json_path.c_str());
+  if (args.json) {
+    using telemetry::Json;
+    Json p = Json::object();
+    p.set("bench", Json::str("serve"));
+    // Deterministic section: CI byte-diffs this object against the
+    // committed baseline (jq .payload.identity).
+    Json identity = Json::object();
+    identity.set("engine", Json::str(args.engine));
+    identity.set("curve", Json::str(args.curve));
+    Json checked = Json::array();
+    for (unsigned workers : id_workers) {
+      Json wj = Json::object();
+      wj.set("workers", Json::number(std::uint64_t{workers}));
+      checked.push(std::move(wj));
+    }
+    identity.set("workers_checked", std::move(checked));
+    for (const IdentityRow& r : rows) {
+      Json oj = Json::object();
+      for (const char* key : {"cycles", "instructions", "output_digest"}) {
+        oj.set(key, *r.direct.get(key));
+      }
+      oj.set("served_equals_direct", Json::boolean(r.match));
+      identity.set(r.op, std::move(oj));
+    }
+    identity.set("bit_identical", Json::boolean(true));
+    p.set("identity", std::move(identity));
+    // Wall section: reported, never byte-compared (CI only floors kp rps).
+    Json wall = Json::object();
+    wall.set("connections", Json::number(std::uint64_t{conns}));
+    wall.set("per_connection", Json::number(per_conn));
+    wall.set("workers", Json::number(std::uint64_t{wall_workers}));
+    for (const WallRow& row : wall_rows) {
+      Json oj = Json::object();
+      oj.set("requests", Json::number(row.r.requests));
+      oj.set("rps", Json::number(row.r.rps()));
+      oj.set("p50_us", Json::number(row.r.latency_us.quantile(0.5)));
+      oj.set("p99_us", Json::number(row.r.latency_us.quantile(0.99)));
+      wall.set(row.op, std::move(oj));
+    }
+    p.set("wall", std::move(wall));
+    Json coalesce = Json::object();
+    coalesce.set("requests", Json::number(coalesce_total));
+    coalesce.set("plain_rps", Json::number(plain_r.rps()));
+    coalesce.set("coalesced_rps", Json::number(batched_r.rps()));
+    coalesce.set("speedup", Json::number(coalesce_speedup));
+    coalesce.set("coalesced_requests", Json::number(coalesced));
+    p.set("coalesce", std::move(coalesce));
+    bench::write_manifest(args.json_path, "bench_serve", std::move(p), &args,
+                          &id_metrics);
   }
   return (enforce && coalesce_speedup < 1.2) ? 2 : 0;
 }

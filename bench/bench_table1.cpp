@@ -71,12 +71,10 @@ int main(int argc, char** argv) {
   const std::string json_path =
       bench::json_flag_path(argc, argv, "BENCH_table1.json");
   if (!json_path.empty()) {
-    bench::JsonWriter w;
-    bench::manifest_begin(w, "bench_table1");
-    w.field("bench", "table1");
-    w.raw("rows", t.to_json());
-    bench::manifest_end(w);
-    w.write_file(json_path);
+    telemetry::Json p = telemetry::Json::object();
+    p.set("bench", telemetry::Json::str("table1"));
+    p.set("rows", bench::table_json(t));
+    bench::write_manifest(json_path, "bench_table1", std::move(p));
   }
   return 0;
 }

@@ -80,16 +80,16 @@ int main(int argc, char** argv) {
   const std::string json_path =
       bench::json_flag_path(argc, argv, "BENCH_table2.json");
   if (!json_path.empty()) {
-    bench::JsonWriter w;
-    bench::manifest_begin(w, "bench_table2");
-    w.field("bench", "table2");
-    w.raw("rows", t.to_json());
-    w.field("c_vs_b_speedup",
-            static_cast<double>(cycles_b) / static_cast<double>(cycles_c));
-    w.field("c_vs_a_speedup",
-            static_cast<double>(cycles_a) / static_cast<double>(cycles_c));
-    bench::manifest_end(w);
-    w.write_file(json_path);
+    telemetry::Json p = telemetry::Json::object();
+    p.set("bench", telemetry::Json::str("table2"));
+    p.set("rows", bench::table_json(t));
+    p.set("c_vs_b_speedup", telemetry::Json::number(
+                                static_cast<double>(cycles_b) /
+                                static_cast<double>(cycles_c)));
+    p.set("c_vs_a_speedup", telemetry::Json::number(
+                                static_cast<double>(cycles_a) /
+                                static_cast<double>(cycles_c)));
+    bench::write_manifest(json_path, "bench_table2", std::move(p));
   }
   return 0;
 }

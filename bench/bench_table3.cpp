@@ -54,13 +54,12 @@ int main(int argc, char** argv) {
   const std::string json_path =
       bench::json_flag_path(argc, argv, "BENCH_table3.json");
   if (!json_path.empty()) {
-    bench::JsonWriter w;
-    bench::manifest_begin(w, "bench_table3");
-    w.field("bench", "table3");
-    w.raw("rows", t.to_json());
-    w.field("variation_pct", 100.0 * (max_pj - min_pj) / min_pj);
-    bench::manifest_end(w);
-    w.write_file(json_path);
+    telemetry::Json p = telemetry::Json::object();
+    p.set("bench", telemetry::Json::str("table3"));
+    p.set("rows", bench::table_json(t));
+    p.set("variation_pct",
+          telemetry::Json::number(100.0 * (max_pj - min_pj) / min_pj));
+    bench::write_manifest(json_path, "bench_table3", std::move(p));
   }
   return 0;
 }

@@ -85,12 +85,10 @@ int main(int argc, char** argv) {
   const std::string json_path =
       bench::json_flag_path(argc, argv, "BENCH_table4.json");
   if (!json_path.empty()) {
-    bench::JsonWriter w;
-    bench::manifest_begin(w, "bench_table4");
-    w.field("bench", "table4");
-    w.raw("rows", t.to_json());
-    bench::manifest_end(w);
-    w.write_file(json_path);
+    telemetry::Json p = telemetry::Json::object();
+    p.set("bench", telemetry::Json::str("table4"));
+    p.set("rows", bench::table_json(t));
+    bench::write_manifest(json_path, "bench_table4", std::move(p));
   }
 
   std::printf("\nPaper reference rows for the reproduced entries:\n");

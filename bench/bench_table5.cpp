@@ -86,15 +86,13 @@ int main(int argc, char** argv) {
   const std::string json_path =
       bench::json_flag_path(argc, argv, "BENCH_table5.json");
   if (!json_path.empty()) {
-    bench::JsonWriter w;
-    bench::manifest_begin(w, "bench_table5");
-    w.field("bench", "table5");
-    w.raw("rows", t.to_json());
-    w.field("sqr_cycles", sqr_sum / kReps);
-    w.field("mul_cycles", mul_sum / kReps);
-    w.field("mul163_cycles", mul163);
-    bench::manifest_end(w);
-    w.write_file(json_path);
+    telemetry::Json p = telemetry::Json::object();
+    p.set("bench", telemetry::Json::str("table5"));
+    p.set("rows", bench::table_json(t));
+    p.set("sqr_cycles", telemetry::Json::number(sqr_sum / kReps));
+    p.set("mul_cycles", telemetry::Json::number(mul_sum / kReps));
+    p.set("mul163_cycles", telemetry::Json::number(mul163));
+    bench::write_manifest(json_path, "bench_table5", std::move(p));
   }
   return 0;
 }

@@ -108,19 +108,18 @@ int main(int argc, char** argv) {
   const std::string json_path =
       bench::json_flag_path(argc, argv, "BENCH_table6.json");
   if (!json_path.empty()) {
-    bench::JsonWriter w;
-    bench::manifest_begin(w, "bench_table6");
-    w.field("bench", "table6");
-    w.raw("rows", t.to_json());
-    w.field("mul_plain_cycles", mul_plain);
-    w.field("mul_fixed_cycles", mul_fixed);
-    w.field("pinning_gain_pct",
-            100.0 * (1.0 - static_cast<double>(mul_fixed) /
-                               static_cast<double>(mul_plain)));
-    w.field("itoh_tsujii_cycles", it_ours);
-    w.field("eea_cycles", inv_vm);
-    bench::manifest_end(w);
-    w.write_file(json_path);
+    telemetry::Json p = telemetry::Json::object();
+    p.set("bench", telemetry::Json::str("table6"));
+    p.set("rows", bench::table_json(t));
+    p.set("mul_plain_cycles", telemetry::Json::number(mul_plain));
+    p.set("mul_fixed_cycles", telemetry::Json::number(mul_fixed));
+    p.set("pinning_gain_pct",
+          telemetry::Json::number(
+              100.0 * (1.0 - static_cast<double>(mul_fixed) /
+                                 static_cast<double>(mul_plain))));
+    p.set("itoh_tsujii_cycles", telemetry::Json::number(it_ours));
+    p.set("eea_cycles", telemetry::Json::number(inv_vm));
+    bench::write_manifest(json_path, "bench_table6", std::move(p));
   }
   return 0;
 }

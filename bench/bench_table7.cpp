@@ -80,14 +80,12 @@ int main(int argc, char** argv) {
   const std::string json_path =
       bench::json_flag_path(argc, argv, "BENCH_table7.json");
   if (!json_path.empty()) {
-    bench::JsonWriter w;
-    bench::manifest_begin(w, "bench_table7");
-    w.field("bench", "table7");
-    w.raw("rows", t.to_json());
-    w.field("total_kp", tot_kp);
-    w.field("total_kg", tot_kg);
-    bench::manifest_end(w);
-    w.write_file(json_path);
+    telemetry::Json p = telemetry::Json::object();
+    p.set("bench", telemetry::Json::str("table7"));
+    p.set("rows", bench::table_json(t));
+    p.set("total_kp", telemetry::Json::number(tot_kp));
+    p.set("total_kg", telemetry::Json::number(tot_kg));
+    bench::write_manifest(json_path, "bench_table7", std::move(p));
   }
   return 0;
 }

@@ -19,12 +19,12 @@
 // resolves to one worker the serial measurement IS the batched one, so
 // batch_speedup is 1.0 by construction instead of measuring the same
 // loop twice). Flags follow the shared bench::Args convention:
-// `--json[=PATH]` (default BENCH_vm_throughput.json) picks the mirror
-// path, `--iters=N` scales the workload (reps), `--threads=N` sizes the
+// `--json[=PATH]` (default BENCH_vm_throughput.json) writes the mirror,
+// `--iters=N` scales the workload (reps), `--threads=N` sizes the
 // batched section and `--enforce` turns the speedup targets (predecoded
 // >= 3x reference, threaded >= 2.5x predecoded) into the exit code.
-// The static+dynamic fusion census is mirrored to fusion_report.json
-// (the CI bench job uploads it as an artifact).
+// Under --json the static+dynamic fusion census is also mirrored to
+// fusion_report.json (the CI bench job uploads it as an artifact).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -163,50 +163,65 @@ bool identical(const armvm::RunStats& a, const armvm::RunStats& b) {
   return ea.energy_uj() == eb.energy_uj() && ea.time_ms() == eb.time_ms();
 }
 
+const char* dispatch_name() {
+  return armvm::threaded_dispatch_uses_computed_goto() ? "computed-goto"
+                                                       : "switch";
+}
+
 /// Static + dynamic fusion census: per-kernel block counts and coverage
 /// from the frozen ThreadedImages, plus the dynamic coverage the
 /// threaded workload run actually saw.
-void write_fusion_report(const std::string& path, const WorkloadResult& thr) {
-  bench::JsonWriter w;
-  bench::manifest_begin(w, "bench_vm_throughput:fusion");
-  w.field("report", "superinstruction_fusion");
-  w.field("dispatch", armvm::threaded_dispatch_uses_computed_goto()
-                          ? "computed-goto"
-                          : "switch");
-  w.field("min_fuse_length",
-          static_cast<std::uint64_t>(armvm::kMinFuseLength));
-  w.begin_object("static");
+telemetry::Json fusion_report(const WorkloadResult& thr) {
+  using telemetry::Json;
+  Json p = Json::object();
+  p.set("report", Json::str("superinstruction_fusion"));
+  p.set("dispatch", Json::str(dispatch_name()));
+  p.set("min_fuse_length",
+        Json::number(static_cast<std::uint64_t>(armvm::kMinFuseLength)));
+  Json kernels = Json::object();
   for (const std::string& name : workloads::KernelRegistry::instance().names()) {
     const armvm::ThreadedImage& img = workloads::kernel(name)->threaded();
     std::uint64_t longest = 0;
     for (const armvm::SuperBlock& b : img.blocks) {
       if (b.count > longest) longest = b.count;
     }
-    w.begin_object(name.c_str());
-    w.field("blocks", static_cast<std::uint64_t>(img.blocks.size()));
-    w.field("fused_slots", img.fused_slots);
-    w.field("valid_slots", img.valid_slots);
-    w.field("longest_block", longest);
-    w.field("coverage", img.valid_slots == 0
-                            ? 0.0
-                            : static_cast<double>(img.fused_slots) /
-                                  static_cast<double>(img.valid_slots));
-    w.end_object();
+    Json k = Json::object();
+    k.set("blocks", Json::number(static_cast<std::uint64_t>(img.blocks.size())));
+    k.set("fused_slots", Json::number(img.fused_slots));
+    k.set("valid_slots", Json::number(img.valid_slots));
+    k.set("longest_block", Json::number(longest));
+    k.set("coverage",
+          Json::number(img.valid_slots == 0
+                           ? 0.0
+                           : static_cast<double>(img.fused_slots) /
+                                 static_cast<double>(img.valid_slots)));
+    kernels.set(name, std::move(k));
   }
-  w.end_object();
-  w.begin_object("dynamic");
-  w.field("workload", "wTNAF w=4 kP field-kernel mix");
-  w.field("instructions", thr.stats.instructions);
-  w.field("fused_retired", thr.fused_retired);
-  w.field("fused_blocks_entered", thr.fused_blocks);
-  w.field("fused_fraction", thr.fused_fraction());
-  w.end_object();
-  bench::manifest_end(w);
-  if (!w.write_file(path)) {
-    std::fprintf(stderr, "warning: could not write %s\n", path.c_str());
-  } else {
-    std::printf("wrote %s\n", path.c_str());
-  }
+  p.set("static", std::move(kernels));
+  Json dynamic = Json::object();
+  dynamic.set("workload", Json::str("wTNAF w=4 kP field-kernel mix"));
+  dynamic.set("instructions", Json::number(thr.stats.instructions));
+  dynamic.set("fused_retired", Json::number(thr.fused_retired));
+  dynamic.set("fused_blocks_entered", Json::number(thr.fused_blocks));
+  dynamic.set("fused_fraction", Json::number(thr.fused_fraction()));
+  p.set("dynamic", std::move(dynamic));
+  return p;
+}
+
+/// One engine's row of the mirror: the `head` members (engine name
+/// first), then the run totals.
+telemetry::Json engine_json(telemetry::Json head, const WorkloadResult& r) {
+  using telemetry::Json;
+  head.set("instructions", Json::number(r.stats.instructions));
+  head.set("cycles", Json::number(r.stats.cycles));
+  head.set("host_seconds", Json::number(r.seconds));
+  return head;
+}
+
+telemetry::Json engine_head(const char* engine) {
+  telemetry::Json head = telemetry::Json::object();
+  head.set("engine", telemetry::Json::str(engine));
+  return head;
 }
 
 }  // namespace
@@ -323,65 +338,43 @@ int main(int argc, char** argv) {
               "digest bit-identical\n",
               batch_speedup, pool_threads);
 
-  // The committed baseline is load-bearing for the CI regression gate,
-  // so this bench writes its JSON unconditionally; --json=PATH still
-  // redirects it.
-  std::string json_path = args.json_path;
-  if (json_path.empty()) json_path = "BENCH_vm_throughput.json";
-  bench::JsonWriter w;
-  bench::manifest_begin(w, "bench_vm_throughput", &args);
-  w.field("bench", "vm_throughput");
-  w.begin_object("workload");
-  w.field("kind", "wTNAF w=4 kP field-kernel mix, sect233k1");
-  w.field("mul", ops.mul);
-  w.field("sqr", ops.sqr);
-  w.field("inv", ops.inv);
-  w.field("reps", static_cast<std::uint64_t>(reps));
-  w.end_object();
-  w.begin_object("reference");
-  w.field("engine", "per-step decode");
-  w.field("instructions", ref.stats.instructions);
-  w.field("cycles", ref.stats.cycles);
-  w.field("host_seconds", ref.seconds);
-  w.field("sim_mips", ref.mips());
-  w.end_object();
-  w.begin_object("predecoded");
-  w.field("engine", "pre-decoded cache");
-  w.field("instructions", pre.stats.instructions);
-  w.field("cycles", pre.stats.cycles);
-  w.field("host_seconds", pre.seconds);
-  w.field("sim_mips", pre.mips());
-  w.end_object();
-  w.begin_object("threaded");
-  w.field("engine", "token-threaded + superinstructions");
-  w.field("dispatch", armvm::threaded_dispatch_uses_computed_goto()
-                          ? "computed-goto"
-                          : "switch");
-  w.field("instructions", thr.stats.instructions);
-  w.field("cycles", thr.stats.cycles);
-  w.field("host_seconds", thr.seconds);
-  w.field("sim_mips", thr.mips());
-  w.field("fused_retired", thr.fused_retired);
-  w.field("fused_blocks_entered", thr.fused_blocks);
-  w.field("fused_fraction", thr.fused_fraction());
-  w.end_object();
-  w.begin_object("batched");
-  w.field("engine", "threaded, batch executor");
-  w.field("threads", static_cast<std::uint64_t>(pool_threads));
-  w.field("instructions", batched.stats.instructions);
-  w.field("cycles", batched.stats.cycles);
-  w.field("host_seconds", batched.seconds);
-  w.field("batch_speedup", batch_speedup);
-  w.end_object();
-  w.field("speedup", speedup);
-  w.field("threaded_speedup", threaded_speedup);
-  w.field("bit_identical", true);
-  bench::manifest_end(w, &metrics);
-  if (!w.write_file(json_path)) {
-    std::fprintf(stderr, "warning: could not write %s\n", json_path.c_str());
-  } else {
-    std::printf("wrote %s\n", json_path.c_str());
+  if (args.json) {
+    using telemetry::Json;
+    Json p = Json::object();
+    p.set("bench", Json::str("vm_throughput"));
+    Json workload = Json::object();
+    workload.set("kind", Json::str("wTNAF w=4 kP field-kernel mix, sect233k1"));
+    workload.set("mul", Json::number(ops.mul));
+    workload.set("sqr", Json::number(ops.sqr));
+    workload.set("inv", Json::number(ops.inv));
+    workload.set("reps", Json::number(std::uint64_t{reps}));
+    p.set("workload", std::move(workload));
+    Json reference = engine_json(engine_head("per-step decode"), ref);
+    reference.set("sim_mips", Json::number(ref.mips()));
+    p.set("reference", std::move(reference));
+    Json predecoded = engine_json(engine_head("pre-decoded cache"), pre);
+    predecoded.set("sim_mips", Json::number(pre.mips()));
+    p.set("predecoded", std::move(predecoded));
+    Json threaded_head = engine_head("token-threaded + superinstructions");
+    threaded_head.set("dispatch", Json::str(dispatch_name()));
+    Json threaded = engine_json(std::move(threaded_head), thr);
+    threaded.set("sim_mips", Json::number(thr.mips()));
+    threaded.set("fused_retired", Json::number(thr.fused_retired));
+    threaded.set("fused_blocks_entered", Json::number(thr.fused_blocks));
+    threaded.set("fused_fraction", Json::number(thr.fused_fraction()));
+    p.set("threaded", std::move(threaded));
+    Json batched_head = engine_head("threaded, batch executor");
+    batched_head.set("threads", Json::number(std::uint64_t{pool_threads}));
+    Json batch = engine_json(std::move(batched_head), batched);
+    batch.set("batch_speedup", Json::number(batch_speedup));
+    p.set("batched", std::move(batch));
+    p.set("speedup", Json::number(speedup));
+    p.set("threaded_speedup", Json::number(threaded_speedup));
+    p.set("bit_identical", Json::boolean(true));
+    bench::write_manifest(args.json_path, "bench_vm_throughput", std::move(p),
+                          &args, &metrics);
+    bench::write_manifest("fusion_report.json", "bench_vm_throughput:fusion",
+                          fusion_report(thr));
   }
-  write_fusion_report("fusion_report.json", thr);
   return (enforce && (speedup < 3.0 || threaded_speedup < 2.5)) ? 2 : 0;
 }

@@ -1,21 +1,21 @@
-// The run-manifest envelope for bench mains (telemetry/manifest.h holds
-// the schema; ecctool builds the same shape through telemetry::RunManifest).
+// The run-manifest envelope for bench mains and the ecctool subcommands
+// (telemetry/manifest.h holds the schema). A main builds its payload as
+// one telemetry::Json tree and hands it over:
 //
-// Benches keep their incremental bench::JsonWriter payloads; this header
-// just brackets them:
+//   telemetry::Json p = telemetry::Json::object();
+//   p.set("bench", telemetry::Json::str("table1"));
+//   p.set("rows", bench::table_json(t));
+//   bench::write_manifest(path, "bench_table1", std::move(p));
 //
-//   bench::JsonWriter w;
-//   bench::manifest_begin(w, "bench_table1", &args);  // or nullptr
-//   w.field(...);                                     // the payload, as before
-//   bench::manifest_end(w, &metrics);                 // or nullptr
-//   w.write_file(path);
-//
-// manifest_begin writes schema/tool/build and the "run" config object
-// (the shared Args flags, when given) and leaves "payload" open;
-// manifest_end closes it and appends the metrics snapshot — which
-// excludes wall-clock units, so a fixed seed + thread count reproduces
-// the file byte for byte.
+// The "run" section records the shared Args flags when a main passes
+// them (and stays empty otherwise); the metrics snapshot excludes
+// wall-clock units, so a fixed seed + thread count reproduces the file
+// byte for byte.
 #pragma once
+
+#include <cstdio>
+#include <string>
+#include <utility>
 
 #include "report.h"
 #include "telemetry/manifest.h"
@@ -23,53 +23,48 @@
 
 namespace eccm0::bench {
 
-inline void manifest_begin(JsonWriter& w, const char* tool,
-                           const Args* args = nullptr) {
-  w.begin_object();
-  w.field("schema", telemetry::kManifestSchema);
-  w.field("tool", tool);
-  const telemetry::BuildInfo b = telemetry::build_info();
-  w.begin_object("build");
-  w.field("compiler", b.compiler);
-  w.field("build_type", b.build_type);
-  w.end_object();
-  w.begin_object("run");
-  if (args != nullptr) {
-    w.field("seed", args->seed);
-    w.field("iters", args->iters);
-    w.field("threads", static_cast<std::uint64_t>(args->threads));
-    w.field("engine", args->engine);
-    w.field("mem", args->mem);
-    w.field("curve", args->curve);
+/// The body rows of `t` as an array of objects keyed by the header row
+/// (row cells beyond the header count are dropped).
+inline telemetry::Json table_json(const Table& t) {
+  using telemetry::Json;
+  const auto& rows = t.rows();
+  Json out = Json::array();
+  for (std::size_t r = 1; r < rows.size(); ++r) {
+    Json row = Json::object();
+    for (std::size_t c = 0; c < rows[r].size() && c < rows[0].size(); ++c) {
+      row.set(rows[0][c], Json::str(rows[r][c]));
+    }
+    out.push(std::move(row));
   }
-  w.end_object();
-  w.begin_object("payload");
+  return out;
 }
 
-inline void manifest_end(JsonWriter& w,
-                         const telemetry::MetricsRegistry* metrics = nullptr) {
-  w.end_object();  // payload
-  w.raw("metrics",
-        metrics != nullptr ? metrics->snapshot_json().dump() : "{}");
-  w.end_object();  // envelope
-}
-
-/// Wrap an already-written JSON file in the manifest envelope, in place
-/// (for reporters we don't control, e.g. google-benchmark's --benchmark_out).
-inline bool wrap_file_in_manifest(const std::string& path, const char* tool) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  std::string text;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  while (!text.empty() && (text.back() == '\n' || text.back() == '\r')) {
-    text.pop_back();
-  }
+/// Write `payload` to `path` inside the manifest envelope, with the
+/// shared Args flags as the "run" section and the registry snapshot as
+/// "metrics" when given. Reports the path on stdout (a warning on
+/// stderr); false on I/O failure.
+inline bool write_manifest(const std::string& path, const char* tool,
+                           telemetry::Json payload, const Args* args = nullptr,
+                           const telemetry::MetricsRegistry* metrics = nullptr) {
+  using telemetry::Json;
   telemetry::RunManifest man(tool);
-  man.set_payload_raw(std::move(text));
-  return man.write_file(path);
+  if (args != nullptr) {
+    Json& run = man.run();
+    run.set("seed", Json::number(args->seed));
+    run.set("iters", Json::number(args->iters));
+    run.set("threads", Json::number(std::uint64_t{args->threads}));
+    run.set("engine", Json::str(args->engine));
+    run.set("mem", Json::str(args->mem));
+    run.set("curve", Json::str(args->curve));
+  }
+  man.set_payload(std::move(payload));
+  if (metrics != nullptr) man.set_metrics(*metrics);
+  if (!man.write_file(path)) {
+    std::fprintf(stderr, "warning: could not write %s\n", path.c_str());
+    return false;
+  }
+  std::printf("wrote %s\n", path.c_str());
+  return true;
 }
 
 }  // namespace eccm0::bench

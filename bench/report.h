@@ -1,8 +1,8 @@
 // Minimal fixed-width table printer shared by the reproduction benches,
-// plus the `--json` output convention: every bench main may accept
-// `--json[=PATH]` and mirror its regenerated numbers into a
-// machine-readable JSON file (default: BENCH_<name>.json in the CWD) so
-// perf trajectories can be tracked across commits.
+// plus the `--json` flag convention: every bench main may accept
+// `--json[=PATH]` and mirror its regenerated numbers into a run manifest
+// (default: BENCH_<name>.json in the CWD; manifest.h writes it) so perf
+// trajectories can be tracked across commits.
 #pragma once
 
 #include <algorithm>
@@ -51,48 +51,12 @@ class Table {
     }
   }
 
-  /// Serialize the body rows as a JSON array of objects keyed by the
-  /// header row (row cells beyond the header count are dropped).
-  std::string to_json() const;
+  /// Row 0 is the header row.
+  const std::vector<std::vector<std::string>>& rows() const { return rows_; }
 
  private:
   std::vector<std::size_t> widths_;
   std::vector<std::vector<std::string>> rows_;
-};
-
-/// Labeled 2-D grid (row label x column label -> cell) for cross-product
-/// reports like the fault campaign's coverage matrix. Prints through the
-/// Table layout; serializes as an object of row objects, so a consumer
-/// can index `matrix[profile][fault_model]` directly.
-class Matrix {
- public:
-  Matrix(std::string corner, std::vector<std::string> cols)
-      : cols_(std::move(cols)) {
-    std::vector<std::string> hdr;
-    hdr.push_back(std::move(corner));
-    for (const std::string& c : cols_) hdr.push_back(c);
-    table_ = Table(std::move(hdr));
-  }
-
-  /// One row; `cells` must line up with the column labels.
-  void add_row(std::string label, std::vector<std::string> cells) {
-    row_labels_.push_back(label);
-    cells_.push_back(cells);
-    std::vector<std::string> row;
-    row.push_back(std::move(label));
-    for (std::string& c : cells) row.push_back(std::move(c));
-    table_.add_row(std::move(row));
-  }
-
-  void print() const { table_.print(); }
-
-  std::string to_json() const;
-
- private:
-  std::vector<std::string> cols_;
-  std::vector<std::string> row_labels_;
-  std::vector<std::vector<std::string>> cells_;
-  Table table_{{}};
 };
 
 inline std::string fmt_u64(std::uint64_t v) { return std::to_string(v); }
@@ -105,126 +69,6 @@ inline std::string fmt_f(double v, int prec = 2) {
 
 inline void banner(const char* title) {
   std::printf("\n=== %s ===\n\n", title);
-}
-
-/// Escape a string for embedding in JSON output.
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
-}
-
-/// Incremental writer for flat/nested JSON objects — enough structure for
-/// bench outputs without a JSON dependency.
-class JsonWriter {
- public:
-  void begin_object(const char* key = nullptr) { open('{', key); }
-  void end_object() { close('}'); }
-  void begin_array(const char* key = nullptr) { open('[', key); }
-  void end_array() { close(']'); }
-
-  void field(const char* key, const std::string& v) {
-    prefix(key);
-    out_ += '"' + json_escape(v) + '"';
-  }
-  void field(const char* key, const char* v) { field(key, std::string(v)); }
-  void field(const char* key, double v) {
-    prefix(key);
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    out_ += buf;
-  }
-  void field(const char* key, std::uint64_t v) {
-    prefix(key);
-    out_ += std::to_string(v);
-  }
-  void field(const char* key, int v) {
-    field(key, static_cast<std::uint64_t>(v));
-  }
-  void field(const char* key, bool v) {
-    prefix(key);
-    out_ += v ? "true" : "false";
-  }
-  /// Splice pre-serialized JSON (e.g. Table::to_json()) as a value.
-  void raw(const char* key, const std::string& json) {
-    prefix(key);
-    out_ += json;
-  }
-
-  const std::string& str() const { return out_; }
-
-  bool write_file(const std::string& path) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) return false;
-    std::fputs(out_.c_str(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-    return true;
-  }
-
- private:
-  void prefix(const char* key) {
-    if (need_comma_) out_ += ',';
-    if (key != nullptr) out_ += '"' + json_escape(key) + "\":";
-    need_comma_ = true;
-  }
-  void open(char c, const char* key) {
-    prefix(key);
-    out_ += c;
-    need_comma_ = false;
-  }
-  void close(char c) {
-    out_ += c;
-    need_comma_ = true;
-  }
-
-  std::string out_;
-  bool need_comma_ = false;
-};
-
-inline std::string Table::to_json() const {
-  JsonWriter w;
-  w.begin_array();
-  for (std::size_t r = 1; r < rows_.size(); ++r) {
-    w.begin_object();
-    const std::vector<std::string>& hdr = rows_[0];
-    for (std::size_t c = 0; c < rows_[r].size() && c < hdr.size(); ++c) {
-      w.field(hdr[c].c_str(), rows_[r][c]);
-    }
-    w.end_object();
-  }
-  w.end_array();
-  return w.str();
-}
-
-inline std::string Matrix::to_json() const {
-  JsonWriter w;
-  w.begin_object();
-  for (std::size_t r = 0; r < row_labels_.size(); ++r) {
-    w.begin_object(row_labels_[r].c_str());
-    for (std::size_t c = 0; c < cells_[r].size() && c < cols_.size(); ++c) {
-      w.field(cols_[c].c_str(), cells_[r][c]);
-    }
-    w.end_object();
-  }
-  w.end_object();
-  return w.str();
 }
 
 /// The `--json` flag convention for bench mains: returns the output path

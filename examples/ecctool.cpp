@@ -41,28 +41,31 @@
 // histogram's bucket distribution as a Perfetto counter track
 // (profile::counter_track_json) next to the manifest.
 //
-// `profile` runs a K-233 field kernel on the cycle-accurate armvm with
-// the symbol-attributed profiler and RAM heatmap attached (one private
-// sink pair per execution context, merged after the run), prints the
-// per-function cycle/energy breakdown and the hottest RAM words, and
-// writes ecctool_trace.json (Perfetto) + ecctool_flame.txt. Its --mem=M
-// flag runs the kernel on a protected RAM model (raw|parity|secded) so
-// the wait-state overhead shows up in the attribution.
-// `campaign` runs the seeded kP fault-injection matrix; its tallies are
-// bit-identical for any --threads value.
-// `memfault` runs the SRAM bit-error campaign (faultsim/campaign.h):
-// Bernoulli bit flips at each --ber=1e-5,1e-4,... rate against each
-// memory model (--mem restricts to one; default sweeps all three), with
-// SECDED scrubbing every --scrub=N accesses. Contradictory combinations
-// (a scrub interval with a model that cannot repair) are rejected.
-// `sca` runs both leakage detectors against one kernel: the
-// constant-trace verifier (timing + address criteria, with the first
-// divergence located by symbol) and the fixed-vs-random TVLA campaign
-// on the power rig, then writes the per-cycle |t| trace to
-// ecctool_ttrace.json for Perfetto. The multi-command flags share the
-// bench::Args conventions (--threads=N, --seed=S, and
-// --engine=perstep|predecode|threaded to pick the armvm execution
-// engine; traced subcommands observe identical streams on every engine).
+// `profile` runs a registry kernel on the cycle-accurate armvm with the
+// symbol-attributed profiler and RAM heatmap attached (one private sink
+// pair per execution context, merged after the run — the same routine
+// as the serve `profile` op), prints the per-function cycle/energy
+// breakdown and the hottest RAM words, and writes ecctool_trace.json
+// (Perfetto) + ecctool_flame.txt. Its --mem=M flag runs the kernel on a
+// protected RAM model (raw|parity|secded) so the wait-state overhead
+// shows up in the attribution.
+// `campaign`, `memfault` and `sca` are the ecctool faces of
+// bench_fault_campaign, bench_memfault and bench_sca: one shared
+// front-end each (bench/campaigns.h) prints the same tables and writes
+// the same payload. `campaign` runs the seeded kP fault-injection
+// matrix; its tallies are bit-identical for any --threads value.
+// `memfault` runs the SRAM bit-error campaign: Bernoulli bit flips at
+// each --ber=1e-5,1e-4,... rate against each memory model (--mem
+// restricts to one; default sweeps all three), with SECDED scrubbing
+// every --scrub=N accesses. Contradictory combinations (a scrub interval
+// with a model that cannot repair) are rejected. `sca` runs both leakage
+// detectors against one kernel — the constant-trace verifier and the
+// fixed-vs-random TVLA campaign on the power rig — prints the verdict
+// and writes the per-cycle |t| trace to ecctool_ttrace.json for
+// Perfetto. The multi-command flags share the bench::Args conventions
+// (--threads=N, --seed=S, and --engine=perstep|predecode|threaded to
+// pick the armvm execution engine; traced subcommands observe identical
+// streams on every engine).
 #include <algorithm>
 #include <cctype>
 #include <chrono>
@@ -70,32 +73,24 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "armvm/cpu.h"
 #include "armvm/dispatch.h"
-#include "common/rng.h"
+#include "campaigns.h"
 #include "crypto/ecdsa.h"
 #include "ec/codec.h"
 #include "ecp/curve.h"
-#include "faultsim/campaign.h"
 #include "manifest.h"
-#include "profile/heatmap.h"
 #include "profile/profiler.h"
 #include "profile/trace_export.h"
-#include "report.h"
-#include "sca/campaign.h"
-#include "sca/ct_check.h"
 #include "service/client.h"
+#include "service/payloads.h"
 #include "service/server.h"
-#include "sim/batch.h"
-#include "telemetry/metrics.h"
-#include "telemetry/progress.h"
-#include "workloads/kp_mix.h"
 #include "workloads/registry.h"
 #include "workloads/spec.h"
 
@@ -168,18 +163,6 @@ int usage() {
   return 2;
 }
 
-/// Validate `--curve=` the same way every bench main does: unknown names
-/// list the known set on stderr and exit 2.
-bool check_curve(const std::string& name) {
-  try {
-    (void)workloads::curve_from_name(name);
-    return true;
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return false;
-  }
-}
-
 /// Default kernel for a curve: the field multiplication the campaigns
 /// splice (gf2 "mul", or the curve's Montgomery multiplication).
 std::string default_kernel(const std::string& curve_name) {
@@ -197,18 +180,12 @@ int run_kernels(int argc, char** argv) {
       !args.positionals().empty()) {
     return usage();
   }
-  if (!args.curve.empty() && !check_curve(args.curve)) return 2;
+  if (!args.curve.empty() && !bench::check_curve(args.curve)) return 2;
 
   auto& reg = workloads::KernelRegistry::instance();
   bench::Table t({"kernel", "curve", "field", "limbs", "code bytes",
                   "symbols"});
-  bench::JsonWriter w;
-  if (args.json) {
-    bench::manifest_begin(w, "ecctool-kernels", &args);
-    w.field("subcommand", "kernels");
-    w.begin_array("kernels");
-  }
-  unsigned listed = 0;
+  telemetry::Json kernels = telemetry::Json::array();
   for (const std::string& name : reg.names()) {
     const workloads::KernelInfo info = reg.info(name);
     if (!args.curve.empty() && info.curve != args.curve) continue;
@@ -217,94 +194,31 @@ int run_kernels(int argc, char** argv) {
                info.binary_field ? "GF(2^m)" : "GF(p)",
                std::to_string(info.limbs), std::to_string(prog->code_bytes()),
                std::to_string(prog->symbols().size())});
-    if (args.json) {
-      w.begin_object();
-      w.field("kernel", name);
-      w.field("curve", info.curve);
-      w.field("binary_field", info.binary_field);
-      w.field("limbs", static_cast<std::uint64_t>(info.limbs));
-      w.field("code_bytes", static_cast<std::uint64_t>(prog->code_bytes()));
-      w.field("symbols", static_cast<std::uint64_t>(prog->symbols().size()));
-      w.end_object();
-    }
-    ++listed;
+    telemetry::Json k = telemetry::Json::object();
+    k.set("kernel", telemetry::Json::str(name));
+    k.set("curve", telemetry::Json::str(info.curve));
+    k.set("binary_field", telemetry::Json::boolean(info.binary_field));
+    k.set("limbs", telemetry::Json::number(std::uint64_t{info.limbs}));
+    k.set("code_bytes", telemetry::Json::number(
+                            static_cast<std::uint64_t>(prog->code_bytes())));
+    k.set("symbols", telemetry::Json::number(
+                         static_cast<std::uint64_t>(prog->symbols().size())));
+    kernels.push(std::move(k));
   }
   t.print();
+  const std::size_t listed = kernels.size();
   const std::string scope =
       args.curve.empty() ? std::string() : " for " + args.curve;
-  std::printf("\n%u kernel(s)%s\n", listed, scope.c_str());
+  std::printf("\n%zu kernel(s)%s\n", listed, scope.c_str());
   if (args.json) {
-    w.end_array();
-    w.field("count", static_cast<std::uint64_t>(listed));
-    bench::manifest_end(w);
-    if (w.write_file(args.json_path)) {
-      std::printf("manifest written to %s\n", args.json_path.c_str());
-    }
+    telemetry::Json p = telemetry::Json::object();
+    p.set("subcommand", telemetry::Json::str("kernels"));
+    p.set("kernels", std::move(kernels));
+    p.set("count", telemetry::Json::number(std::uint64_t{listed}));
+    bench::write_manifest(args.json_path, "ecctool-kernels", std::move(p),
+                          &args);
   }
   return 0;
-}
-
-/// One worker's share of a threaded profile: a private execution
-/// context over the shared registry image, with its own Profiler +
-/// MemHeatmap fanned in through a TeeSink.
-struct ProfilePart {
-  std::uint64_t instructions = 0;
-  std::uint64_t cycles = 0;
-  double energy_uj = 0.0;
-  double time_ms = 0.0;
-  std::vector<profile::Profiler::FunctionStats> fns;
-  std::vector<std::uint64_t> loads;
-  std::vector<std::uint64_t> stores;
-};
-
-/// Seed every operand slot a kernel family reads, then re-seed the
-/// consumable slots before each call so repeated calls replay one trace.
-void load_profile_operands(const std::string& kernel, armvm::Memory& mem) {
-  const workloads::KernelInfo info =
-      workloads::KernelRegistry::instance().info(kernel);
-  if (info.binary_field) {
-    const workloads::KernelOperands& od = workloads::KernelOperands::standard();
-    workloads::load_mul_inputs(mem, od.x, od.y);
-    workloads::load_sqr_table(mem);
-    workloads::load_inv_input(mem, od.a);  // also the sqr input slot
-    return;
-  }
-  const workloads::CurveRef& curve = workloads::curve_from_name(info.curve);
-  const workloads::PrimeOperands& od = workloads::PrimeOperands::standard(curve);
-  workloads::load_prime_modulus(mem, curve);
-  workloads::load_prime_mul_inputs(mem, od.x, od.y);
-  workloads::load_prime_inv_input(mem, od.a);
-  workloads::load_prime_wide_input(mem, od.wide);  // consumed by -redc
-}
-
-ProfilePart run_profile_part(const std::string& kernel, unsigned calls,
-                             armvm::Cpu::DecodeMode engine,
-                             const armvm::MemModelConfig& mem_model) {
-  workloads::KernelMachine km(workloads::kernel(kernel), engine, mem_model);
-  profile::Profiler prof(km.prog());
-  profile::MemHeatmap heat(workloads::kKernelRamSize);
-  armvm::TeeSink tee({&prof, &heat});
-  km.cpu().set_trace_sink(&tee);
-
-  for (unsigned c = 0; c < calls; ++c) {
-    load_profile_operands(kernel, km.mem());
-    km.call();
-  }
-
-  ProfilePart part;
-  const armvm::RunStats s = km.cpu().stats();
-  part.instructions = s.instructions;
-  part.cycles = s.cycles;
-  part.energy_uj = s.energy().energy_uj();
-  part.time_ms = s.energy().time_ms();
-  part.fns = prof.functions();
-  part.loads.resize(heat.words());
-  part.stores.resize(heat.words());
-  for (std::size_t w = 0; w < heat.words(); ++w) {
-    part.loads[w] = heat.loads_at(w);
-    part.stores[w] = heat.stores_at(w);
-  }
-  return part;
 }
 
 int run_profile(int argc, char** argv) {
@@ -316,7 +230,7 @@ int run_profile(int argc, char** argv) {
     return usage();
   }
   if (calls == 0) calls = 1;
-  if (!check_curve(args.curve)) return 2;
+  if (!bench::check_curve(args.curve)) return 2;
   const std::string kernel = args.positionals().empty()
                                  ? default_kernel(args.curve)
                                  : args.positionals()[0];
@@ -324,82 +238,30 @@ int run_profile(int argc, char** argv) {
       armvm::decode_mode_from_name(args.engine);
   const armvm::MemModelConfig mem_model =
       armvm::MemModelConfig::for_kind(armvm::mem_model_from_name(args.mem));
-  const unsigned threads = args.threads;
   if (!workloads::KernelRegistry::instance().contains(kernel)) {
     return usage();
   }
 
-  // Fan the calls across one context per task; each context has private
-  // sinks, merged below, so the aggregate attribution is thread-count
-  // independent.
+  // The serve `profile` op runs the same routine on one context; fanning
+  // the calls out changes nothing but the wall time.
   telemetry::MetricsRegistry metrics;
-  sim::BatchExecutor pool(threads);
-  pool.set_metrics(&metrics);
-  const unsigned workers =
-      static_cast<unsigned>(std::min<std::uint64_t>(
-          threads == 0 ? calls : std::min<std::uint64_t>(threads, calls),
-          calls));
-  std::vector<unsigned> share(workers, calls / workers);
-  for (unsigned w = 0; w < calls % workers; ++w) ++share[w];
-  const std::vector<ProfilePart> parts =
-      pool.map<ProfilePart>(workers, [&](std::size_t w) {
-        return run_profile_part(kernel, share[w], engine, mem_model);
-      });
-
-  ProfilePart all;
-  std::map<std::string, profile::Profiler::FunctionStats> merged;
-  for (const ProfilePart& p : parts) {
-    all.instructions += p.instructions;
-    all.cycles += p.cycles;
-    all.energy_uj += p.energy_uj;
-    all.time_ms += p.time_ms;
-    if (all.loads.size() < p.loads.size()) {
-      all.loads.resize(p.loads.size());
-      all.stores.resize(p.stores.size());
-    }
-    for (std::size_t w = 0; w < p.loads.size(); ++w) {
-      all.loads[w] += p.loads[w];
-      all.stores[w] += p.stores[w];
-    }
-    for (const auto& f : p.fns) {
-      auto& m = merged[f.name];
-      m.name = f.name;
-      m.addr = f.addr;
-      m.calls += f.calls;
-      m.instructions += f.instructions;
-      m.self_cycles += f.self_cycles;
-      m.inclusive_cycles += f.inclusive_cycles;
-      m.self_hist += f.self_hist;
-      m.inclusive_hist += f.inclusive_hist;
-    }
-  }
-
+  const service::KernelProfile prof =
+      service::profile_kernel(kernel, static_cast<unsigned>(calls), engine,
+                              mem_model, args.threads, &metrics);
+  const costmodel::EnergyReport energy = prof.stats.energy();
   std::printf("kernel %s: %llu call(s), %u context(s), %llu instructions, "
               "%llu cycles, %.3f uJ, %.3f ms @48 MHz\n\n",
-              kernel.c_str(), static_cast<unsigned long long>(calls), workers,
-              static_cast<unsigned long long>(all.instructions),
-              static_cast<unsigned long long>(all.cycles), all.energy_uj,
-              all.time_ms);
-  std::printf("%-10s %8s %10s %12s %12s %10s\n", "function", "calls",
-              "instrs", "self cyc", "incl cyc", "self pJ");
-  std::vector<profile::Profiler::FunctionStats> fns;
-  for (auto& [name, f] : merged) fns.push_back(f);
-  std::sort(fns.begin(), fns.end(), [](const auto& a, const auto& b) {
-    return a.self_cycles > b.self_cycles;
-  });
-  for (const auto& f : fns) {
-    std::printf("%-10s %8llu %10llu %12llu %12llu %10.0f\n", f.name.c_str(),
-                static_cast<unsigned long long>(f.calls),
-                static_cast<unsigned long long>(f.instructions),
-                static_cast<unsigned long long>(f.self_cycles),
-                static_cast<unsigned long long>(f.inclusive_cycles),
-                f.self_energy_pj());
-  }
+              kernel.c_str(), static_cast<unsigned long long>(calls),
+              prof.contexts,
+              static_cast<unsigned long long>(prof.stats.instructions),
+              static_cast<unsigned long long>(prof.stats.cycles),
+              energy.energy_uj(), energy.time_ms());
+  bench::print_functions(prof.functions, prof.stats.cycles);
   std::printf("\nhottest RAM words (loads+stores):\n");
   std::vector<std::pair<std::size_t, std::uint64_t>> hot;
-  for (std::size_t w = 0; w < all.loads.size(); ++w) {
-    if (all.loads[w] + all.stores[w]) {
-      hot.emplace_back(w, all.loads[w] + all.stores[w]);
+  for (std::size_t w = 0; w < prof.loads.size(); ++w) {
+    if (prof.loads[w] + prof.stores[w]) {
+      hot.emplace_back(w, prof.loads[w] + prof.stores[w]);
     }
   }
   std::sort(hot.begin(), hot.end(),
@@ -413,11 +275,11 @@ int run_profile(int argc, char** argv) {
   // The timeline export needs one coherent span stream; rerun one
   // context's worth when the run was fanned out.
   workloads::KernelMachine km(workloads::kernel(kernel), engine, mem_model);
-  profile::Profiler prof(km.prog());
-  km.cpu().set_trace_sink(&prof);
-  load_profile_operands(kernel, km.mem());
+  profile::Profiler trace(km.prog());
+  km.cpu().set_trace_sink(&trace);
+  service::load_profile_operands(kernel, km.mem());
   km.call();
-  const profile::NamedProfile tracks[] = {{kernel, &prof}};
+  const profile::NamedProfile tracks[] = {{kernel, &trace}};
   if (profile::write_text_file("ecctool_trace.json",
                                profile::chrome_trace_json(tracks)) &&
       profile::write_text_file("ecctool_flame.txt",
@@ -427,34 +289,16 @@ int run_profile(int argc, char** argv) {
   }
 
   if (args.json) {
-    bench::JsonWriter w;
-    bench::manifest_begin(w, "ecctool-profile", &args);
-    w.field("subcommand", "profile");
-    w.field("kernel", kernel);
-    w.field("calls", calls);
-    w.field("contexts", static_cast<std::uint64_t>(workers));
-    w.field("instructions", all.instructions);
-    w.field("cycles", all.cycles);
-    w.field("energy_uj", all.energy_uj);
-    w.begin_array("functions");
-    for (const auto& f : fns) {
-      w.begin_object();
-      w.field("name", f.name);
-      w.field("calls", f.calls);
-      w.field("instructions", f.instructions);
-      w.field("self_cycles", f.self_cycles);
-      w.field("inclusive_cycles", f.inclusive_cycles);
-      w.end_object();
-    }
-    w.end_array();
-    bench::manifest_end(w, &metrics);
-    if (w.write_file(args.json_path)) {
-      std::printf("manifest written to %s\n", args.json_path.c_str());
-    }
+    bench::write_manifest(
+        args.json_path, "ecctool-profile",
+        service::profile_payload(kernel, static_cast<unsigned>(calls), prof),
+        &args, &metrics);
   }
   return 0;
 }
 
+/// `ecctool campaign`: bench_fault_campaign's front-end at ecctool's
+/// defaults (200 runs per model, no coherence demo or self-checks).
 int run_campaign(int argc, char** argv) {
   faultsim::CampaignConfig cfg;
   cfg.runs_per_model = 200;
@@ -467,77 +311,18 @@ int run_campaign(int argc, char** argv) {
     return usage();
   }
   if (cfg.runs_per_model == 0) cfg.runs_per_model = 1;
-  cfg.seed = args.seed;
-  cfg.threads = args.threads;
-  cfg.engine = armvm::decode_mode_from_name(args.engine);
-  if (!check_curve(args.curve)) return 2;
-  cfg.curve = args.curve;
+  if (!bench::check_curve(args.curve)) return 2;
   telemetry::MetricsRegistry metrics;
-  telemetry::ProgressMeter progress(
-      telemetry::progress_mode_from_name(args.progress), "campaign",
-      cfg.runs_per_model * faultsim::kNumFaultModels);
-  cfg.metrics = &metrics;
-  cfg.progress = &progress;
-  std::printf("kP fault campaign on %s: seed 0x%llx, %llu runs/model, "
-              "%u thread(s)\n\n",
-              cfg.curve.c_str(), static_cast<unsigned long long>(cfg.seed),
-              static_cast<unsigned long long>(cfg.runs_per_model),
-              cfg.threads);
-  const faultsim::CampaignResult res = faultsim::run_kp_campaign(cfg);
-  const auto& profiles = faultsim::protection_profiles();
-  std::printf("silent-corruption rate (%% of runs), fault model x "
-              "protection profile:\n");
-  std::printf("%-18s", "model");
-  for (const auto& p : profiles) std::printf(" %16s", p.name);
-  std::printf("\n");
-  for (const auto& m : res.models) {
-    std::printf("%-18s", faultsim::fault_model_name(m.model));
-    for (unsigned p = 0; p < faultsim::kNumProfiles; ++p) {
-      std::printf(" %15.1f%%", 100.0 * m.per_profile[p].silent_rate());
-    }
-    std::printf("\n");
-  }
-  std::printf("\nclean-run cost of each profile (proposed-asm prices):\n");
-  for (unsigned p = 0; p < faultsim::kNumProfiles; ++p) {
-    std::printf("  %-16s %10llu cycles  %8.2f uJ\n", profiles[p].name,
-                static_cast<unsigned long long>(res.costs[p].cycles),
-                res.costs[p].energy_uj);
-  }
-
+  bench::FaultCampaignRun run = bench::run_fault_campaign(cfg, args, metrics);
   if (args.json) {
-    bench::JsonWriter w;
-    bench::manifest_begin(w, "ecctool-campaign", &args);
-    w.field("subcommand", "campaign");
-    w.field("curve", cfg.curve);
-    w.field("runs_per_model", cfg.runs_per_model);
-    w.begin_array("models");
-    for (const auto& m : res.models) {
-      w.begin_object();
-      w.field("model", faultsim::fault_model_name(m.model));
-      w.field("runs", m.runs);
-      w.field("injected", m.injected);
-      w.begin_array("profiles");
-      for (unsigned p = 0; p < faultsim::kNumProfiles; ++p) {
-        const auto& o = m.per_profile[p];
-        w.begin_object();
-        w.field("profile", profiles[p].name);
-        w.field("silent", o.silent);
-        w.field("detected", o.detected);
-        w.field("silent_rate", o.silent_rate());
-        w.end_object();
-      }
-      w.end_array();
-      w.end_object();
-    }
-    w.end_array();
-    bench::manifest_end(w, &metrics);
-    if (w.write_file(args.json_path)) {
-      std::printf("\nmanifest written to %s\n", args.json_path.c_str());
-    }
+    bench::write_manifest(args.json_path, "ecctool-campaign",
+                          std::move(run.payload), &args, &metrics);
   }
   return 0;
 }
 
+/// `ecctool memfault`: bench_memfault's front-end with ecctool's flag
+/// extras — a --ber list, a --mem restriction and a checked --scrub.
 int run_memfault(int argc, char** argv) {
   // Sentinel for "--scrub was not passed": the flag only overwrites it
   // when present, which is how the contradiction check below can tell
@@ -554,16 +339,12 @@ int run_memfault(int argc, char** argv) {
   args.add_u64("--runs", &cfg.runs_per_cell);
   args.add_u64("--scrub", &scrub);
   args.add_str("--ber", &ber_list);
-  if (!args.parse(argc - 2, argv + 2, "BENCH_memfault.json") ||
+  if (!args.parse(argc - 2, argv + 2, "ecctool_memfault.json") ||
       !args.positionals().empty()) {
     return usage();
   }
   if (cfg.runs_per_cell == 0) cfg.runs_per_cell = 1;
-  cfg.seed = args.seed;
-  cfg.threads = args.threads;
-  cfg.engine = armvm::decode_mode_from_name(args.engine);
-  if (!check_curve(args.curve)) return 2;
-  cfg.curve = args.curve;
+  if (!bench::check_curve(args.curve)) return 2;
   if (!args.mem.empty()) {
     cfg.models = {armvm::mem_model_from_name(args.mem)};
   }
@@ -581,8 +362,6 @@ int run_memfault(int argc, char** argv) {
     return 2;
   }
   cfg.scrub_interval = scrub == kScrubUnset ? 1024 : scrub;
-  telemetry::MetricsRegistry metrics;
-  cfg.metrics = &metrics;
   if (!ber_list.empty()) {
     cfg.bers.clear();
     const char* s = ber_list.c_str();
@@ -605,104 +384,17 @@ int run_memfault(int argc, char** argv) {
     }
   }
 
-  telemetry::ProgressMeter progress(
-      telemetry::progress_mode_from_name(args.progress), "memfault",
-      cfg.runs_per_cell * cfg.bers.size() * cfg.models.size());
-  cfg.progress = &progress;
-
-  std::printf("SRAM bit-error campaign on %s: seed 0x%llx, %llu runs/cell, "
-              "%u thread(s), scrub %llu\n\n",
-              cfg.curve.c_str(), static_cast<unsigned long long>(cfg.seed),
-              static_cast<unsigned long long>(cfg.runs_per_cell), cfg.threads,
-              static_cast<unsigned long long>(cfg.scrub_interval));
-  const faultsim::MemCampaignResult res = faultsim::run_mem_campaign(cfg);
-  const auto& profiles = faultsim::protection_profiles();
-
-  auto fmt_ber = [](double b) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0e", b);
-    return std::string(buf);
-  };
-  for (unsigned p : {0u, faultsim::kNumProfiles - 1}) {
-    std::printf("silent corruption, software profile '%s':\n",
-                profiles[p].name);
-    std::printf("%-8s", "model");
-    for (double b : cfg.bers) std::printf(" %10s", fmt_ber(b).c_str());
-    std::printf("\n");
-    for (const auto& rep : res.models) {
-      std::printf("%-8s", armvm::mem_model_name(rep.config.kind));
-      for (const auto& cell : rep.cells) {
-        std::printf(" %9.1f%%", 100.0 * cell.per_profile[p].silent_rate());
-      }
-      std::printf("\n");
-    }
-    std::printf("\n");
-  }
-
-  std::printf("hardware outcome counts (summed over the BER sweep):\n");
-  for (const auto& rep : res.models) {
-    std::uint64_t detected = 0, hw_fix = 0, scrub_fix = 0;
-    for (const auto& cell : rep.cells) {
-      detected += cell.per_profile[0].detected;
-      hw_fix += cell.hw_corrections;
-      scrub_fix += cell.scrub_corrections;
-    }
-    std::printf("  %-8s %6llu detected  %6llu load-time fixes  "
-                "%6llu scrub fixes\n",
-                armvm::mem_model_name(rep.config.kind),
-                static_cast<unsigned long long>(detected),
-                static_cast<unsigned long long>(hw_fix),
-                static_cast<unsigned long long>(scrub_fix));
-  }
-
-  std::printf("\nclean-run codeword overhead (one VM mul kernel call):\n");
-  const std::uint64_t base_cycles = res.models.front().clean_cycles;
-  for (const auto& rep : res.models) {
-    std::printf("  %-8s %2u wait-state(s)  %8llu cycles (%+.2f%%)  %8.0f pJ\n",
-                armvm::mem_model_name(rep.config.kind), rep.config.wait_states,
-                static_cast<unsigned long long>(rep.clean_cycles),
-                100.0 * (static_cast<double>(rep.clean_cycles) /
-                             static_cast<double>(base_cycles) -
-                         1.0),
-                rep.clean_energy_pj);
-  }
-
-  if (!args.json_path.empty()) {
-    bench::JsonWriter w;
-    bench::manifest_begin(w, "ecctool-memfault", &args);
-    w.field("bench", "memfault");
-    w.field("curve", cfg.curve);
-    w.field("seed", cfg.seed);
-    w.field("runs_per_cell", cfg.runs_per_cell);
-    w.begin_array("models");
-    for (const auto& rep : res.models) {
-      w.begin_object();
-      w.field("model", armvm::mem_model_name(rep.config.kind));
-      w.field("clean_cycles", rep.clean_cycles);
-      w.begin_array("cells");
-      for (const auto& cell : rep.cells) {
-        w.begin_object();
-        w.field("ber", cell.ber);
-        w.field("silent_unprotected", cell.per_profile[0].silent);
-        w.field("silent_protected",
-                cell.per_profile[faultsim::kNumProfiles - 1].silent);
-        w.field("detected", cell.per_profile[0].detected);
-        w.field("hw_corrections", cell.hw_corrections);
-        w.field("scrub_corrections", cell.scrub_corrections);
-        w.end_object();
-      }
-      w.end_array();
-      w.end_object();
-    }
-    w.end_array();
-    bench::manifest_end(w, &metrics);
-    if (w.write_file(args.json_path)) {
-      std::printf("\nJSON written to %s\n", args.json_path.c_str());
-    }
+  telemetry::MetricsRegistry metrics;
+  bench::MemCampaignRun run = bench::run_mem_campaign(cfg, args, metrics);
+  if (args.json) {
+    bench::write_manifest(args.json_path, "ecctool-memfault",
+                          std::move(run.payload), &args, &metrics);
   }
   return 0;
 }
 
+/// `ecctool sca [kernel]`: bench_sca's constant-trace and TVLA
+/// front-ends on one kernel, plus the per-cycle |t| trace export.
 int run_sca(int argc, char** argv) {
   bench::Args args;
   args.seed = 0x5CA;
@@ -711,7 +403,7 @@ int run_sca(int argc, char** argv) {
       args.positionals().size() > 1) {
     return usage();
   }
-  if (!check_curve(args.curve)) return 2;
+  if (!bench::check_curve(args.curve)) return 2;
   const std::string kernel = args.positionals().empty()
                                  ? default_kernel(args.curve)
                                  : args.positionals()[0];
@@ -719,58 +411,13 @@ int run_sca(int argc, char** argv) {
     return usage();
   }
 
-  const armvm::Cpu::DecodeMode engine =
-      armvm::decode_mode_from_name(args.engine);
   telemetry::MetricsRegistry metrics;
-  telemetry::ProgressMeter progress(
-      telemetry::progress_mode_from_name(args.progress), "tvla traces",
-      2 * args.iters);
-  sca::CtConfig ct_cfg;
-  ct_cfg.kernel = kernel;
-  ct_cfg.seed = args.seed;
-  ct_cfg.engine = engine;
-  ct_cfg.metrics = &metrics;
-  const sca::CtReport ct = sca::check_kernel_constant_trace(ct_cfg);
-  std::printf("constant-trace (%u random draws):\n", ct.runs);
-  std::printf("  timing    (pc/class/cycles): %s\n",
-              ct.constant ? "CONSTANT" : "VARIABLE");
-  std::printf("  addresses (+ memory stream): %s\n",
-              ct.constant_addresses ? "CONSTANT" : "VARIABLE");
-  if (ct.min_cycles == ct.max_cycles) {
-    std::printf("  %llu instructions, %llu cycles, digest %016llx\n",
-                static_cast<unsigned long long>(ct.trace_len),
-                static_cast<unsigned long long>(ct.ref_cycles),
-                static_cast<unsigned long long>(ct.digest));
-  } else {
-    std::printf("  cycles vary %llu..%llu\n",
-                static_cast<unsigned long long>(ct.min_cycles),
-                static_cast<unsigned long long>(ct.max_cycles));
-  }
-  if (ct.first.diverged) {
-    std::printf("  first divergence: #%llu at %s (%s)\n",
-                static_cast<unsigned long long>(ct.first.index),
-                ct.first.symbol_a.c_str(), ct.first.reason.c_str());
-  }
-
-  sca::TvlaCampaignConfig tv_cfg;
-  tv_cfg.kernel = kernel;
-  tv_cfg.traces_per_class = static_cast<unsigned>(args.iters);
-  tv_cfg.seed = args.seed;
-  tv_cfg.threads = args.threads;
-  tv_cfg.engine = engine;
-  tv_cfg.metrics = &metrics;
-  tv_cfg.progress = &progress;
-  const sca::TvlaCampaignResult res = sca::run_tvla_campaign(tv_cfg);
-  const sca::TvlaSummary& s = res.summary;
-  std::printf("\nTVLA fixed-vs-random (%llu traces, |t| > %.1f):\n",
-              static_cast<unsigned long long>(res.traces), s.threshold);
-  std::printf("  max|t| %.2f at cycle %zu over %zu cycles\n", s.max_abs_t,
-              s.max_cycle, s.compared_cycles);
-  std::printf("  %zu raw excursion(s), %zu confirmed by the duplicated "
-              "test, length leak: %s\n",
-              s.cycles_over_raw, s.cycles_over, s.length_leak ? "yes" : "no");
-  std::printf("  verdict: %s   (t-digest %016llx)\n",
-              s.leaky ? "LEAKY" : "CLEAN",
+  telemetry::Json payload = bench::sca_payload(args, args.curve);
+  bench::run_constant_trace({kernel}, args, metrics, payload);
+  const sca::TvlaCampaignResult res =
+      bench::run_tvla({kernel}, args, metrics, payload).front();
+  std::printf("\nverdict: %s   (t-digest %016llx)\n",
+              res.summary.leaky ? "LEAKY" : "CLEAN",
               static_cast<unsigned long long>(res.t_digest));
 
   if (profile::write_text_file(
@@ -778,31 +425,9 @@ int run_sca(int argc, char** argv) {
           profile::counter_track_json("tvla |t| " + kernel, res.t_trace))) {
     std::printf("\nwrote ecctool_ttrace.json (Perfetto counter track)\n");
   }
-
   if (args.json) {
-    bench::JsonWriter w;
-    bench::manifest_begin(w, "ecctool-sca", &args);
-    w.field("subcommand", "sca");
-    w.field("kernel", kernel);
-    w.begin_object("constant_trace");
-    w.field("timing_constant", ct.constant);
-    w.field("addr_constant", ct.constant_addresses);
-    w.field("instructions", ct.trace_len);
-    w.field("min_cycles", ct.min_cycles);
-    w.field("max_cycles", ct.max_cycles);
-    w.end_object();
-    w.begin_object("tvla");
-    w.field("traces", res.traces);
-    w.field("compared_cycles", static_cast<std::uint64_t>(s.compared_cycles));
-    w.field("max_abs_t", s.max_abs_t);
-    w.field("cycles_over", static_cast<std::uint64_t>(s.cycles_over));
-    w.field("length_leak", s.length_leak);
-    w.field("leaky", s.leaky);
-    w.end_object();
-    bench::manifest_end(w, &metrics);
-    if (w.write_file(args.json_path)) {
-      std::printf("manifest written to %s\n", args.json_path.c_str());
-    }
+    bench::write_manifest(args.json_path, "ecctool-sca", std::move(payload),
+                          &args, &metrics);
   }
   return 0;
 }
@@ -1003,19 +628,16 @@ int run_serve(int argc, char** argv) {
               static_cast<unsigned long long>(
                   m.counter_value("serve.coalesced")));
   if (args.json) {
-    bench::JsonWriter w;
-    bench::manifest_begin(w, "ecctool-serve", &args);
-    w.field("subcommand", "serve");
-    w.field("queue_depth", queue_depth);
-    w.field("coalesce", cfg.coalesce);
-    w.field("requests", m.counter_value("serve.requests"));
-    w.field("busy", m.counter_value("serve.busy"));
-    w.field("coalesced", m.counter_value("serve.coalesced"));
-    w.field("errors", m.counter_value("serve.errors"));
-    bench::manifest_end(w, &m);
-    if (w.write_file(args.json_path)) {
-      std::printf("manifest written to %s\n", args.json_path.c_str());
+    using telemetry::Json;
+    Json p = Json::object();
+    p.set("subcommand", Json::str("serve"));
+    p.set("queue_depth", Json::number(queue_depth));
+    p.set("coalesce", Json::boolean(cfg.coalesce));
+    for (const char* name : {"requests", "busy", "coalesced", "errors"}) {
+      p.set(name, Json::number(m.counter_value(std::string("serve.") + name)));
     }
+    bench::write_manifest(args.json_path, "ecctool-serve", std::move(p), &args,
+                          &m);
   }
   return 0;
 }
@@ -1092,7 +714,7 @@ int main(int argc, char** argv) {
         filtered.push_back(argv[i]);
       }
     }
-    if (!check_curve(curve_flag)) return 2;
+    if (!bench::check_curve(curve_flag)) return 2;
     if (curve_flag != "sect233k1") {
       std::fprintf(stderr,
                    "error: host protocol crypto runs on sect233k1; run "
@@ -1124,7 +746,7 @@ int main(int argc, char** argv) {
       if (!args.parse(argc - 2, argv + 2, "") || !args.positionals().empty()) {
         return usage();
       }
-      if (!check_curve(args.curve)) return 2;
+      if (!bench::check_curve(args.curve)) return 2;
       const workloads::CurveRef& ref = workloads::curve_from_name(args.curve);
       if (!ref.binary_field) {
         const ecp::PrimeCurve& pc = workloads::prime_curve(ref);

@@ -2,27 +2,13 @@
 
 #include <cstdio>
 
+#include "telemetry/json.h"
+
 namespace eccm0::profile {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') {
-      out += '\\';
-      out += ch;
-    } else if (static_cast<unsigned char>(ch) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-      out += buf;
-    } else {
-      out += ch;
-    }
-  }
-  return out;
-}
+using telemetry::Json;
 
 std::string fmt(double v) {
   char buf[48];
@@ -46,10 +32,10 @@ std::string chrome_trace_json(std::span<const NamedProfile> tracks,
     const unsigned tid = static_cast<unsigned>(t) + 1;
     emit("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" +
          std::to_string(tid) + ",\"args\":{\"name\":\"" +
-         json_escape(tracks[t].name) + "\"}}");
+         Json::escape(tracks[t].name) + "\"}}");
     for (const Profiler::Span& s : tracks[t].profiler->spans()) {
       const std::uint64_t dur_cycles = s.end_cycle - s.begin_cycle;
-      emit("{\"name\":\"" + json_escape(s.name) +
+      emit("{\"name\":\"" + Json::escape(s.name) +
            "\",\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(tid) +
            ",\"ts\":" + fmt(static_cast<double>(s.begin_cycle) *
                             us_per_cycle) +
@@ -66,7 +52,7 @@ std::string collapsed_stack_text(std::span<const NamedProfile> tracks) {
   std::string out;
   for (const NamedProfile& t : tracks) {
     const std::string prefix =
-        tracks.size() > 1 ? json_escape(t.name) + ";" : std::string{};
+        tracks.size() > 1 ? Json::escape(t.name) + ";" : std::string{};
     for (const auto& [stack, cycles] : t.profiler->collapsed_stacks()) {
       out += prefix + stack + " " + std::to_string(cycles) + "\n";
     }
@@ -79,7 +65,7 @@ std::string counter_track_json(const std::string& name,
                                double clock_hz) {
   const double us_per_cycle = 1e6 / clock_hz;
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  const std::string escaped = json_escape(name);
+  const std::string escaped = Json::escape(name);
   for (std::size_t i = 0; i < values.size(); ++i) {
     double v = values[i];
     if (v != v) v = 0.0;  // NaN

@@ -11,8 +11,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "armvm/dispatch.h"
-#include "profile/profiler.h"
 #include "workloads/registry.h"
 
 namespace eccm0::service {
@@ -70,208 +68,7 @@ bool is_known_op(const std::string& op) {
          op == "sca" || op == "profile" || op == "sleep";
 }
 
-telemetry::Json ops_json(const ec::FieldOpCounts& ops) {
-  telemetry::Json o = telemetry::Json::object();
-  o.set("mul", telemetry::Json::number(ops.mul));
-  o.set("sqr", telemetry::Json::number(ops.sqr));
-  o.set("inv", telemetry::Json::number(ops.inv));
-  o.set("add", telemetry::Json::number(ops.add));
-  return o;
-}
-
-telemetry::Json tally_json(const faultsim::OutcomeTally& t) {
-  telemetry::Json o = telemetry::Json::object();
-  o.set("correct", telemetry::Json::number(t.correct));
-  o.set("detected", telemetry::Json::number(t.detected));
-  o.set("crashed", telemetry::Json::number(t.crashed));
-  o.set("silent", telemetry::Json::number(t.silent));
-  return o;
-}
-
-telemetry::Json mem_tally_json(const faultsim::MemOutcomeTally& t) {
-  telemetry::Json o = telemetry::Json::object();
-  o.set("correct", telemetry::Json::number(t.correct));
-  o.set("corrected", telemetry::Json::number(t.corrected));
-  o.set("detected", telemetry::Json::number(t.detected));
-  o.set("crashed", telemetry::Json::number(t.crashed));
-  o.set("silent", telemetry::Json::number(t.silent));
-  return o;
-}
-
-/// The `profile` op: one kernel on the cycle-accurate VM under the
-/// symbol-attributed profiler; payload carries totals plus the hottest
-/// functions by self cycles. Deterministic for fixed params.
-telemetry::Json profile_payload_for(const std::string& kernel_name,
-                                    unsigned calls,
-                                    armvm::Cpu::DecodeMode engine,
-                                    const armvm::MemModelConfig& mem_model) {
-  workloads::KernelMachine km(workloads::kernel(kernel_name), engine,
-                              mem_model);
-  profile::Profiler prof(km.prog());
-  km.cpu().set_trace_sink(&prof);
-  const workloads::KernelInfo info =
-      workloads::KernelRegistry::instance().info(kernel_name);
-  for (unsigned c = 0; c < calls; ++c) {
-    if (info.binary_field) {
-      const workloads::KernelOperands& od =
-          workloads::KernelOperands::standard();
-      workloads::load_mul_inputs(km.mem(), od.x, od.y);
-      workloads::load_sqr_table(km.mem());
-      workloads::load_inv_input(km.mem(), od.a);
-    } else {
-      const workloads::CurveRef& curve =
-          workloads::curve_from_name(info.curve);
-      const workloads::PrimeOperands& od =
-          workloads::PrimeOperands::standard(curve);
-      workloads::load_prime_modulus(km.mem(), curve);
-      workloads::load_prime_mul_inputs(km.mem(), od.x, od.y);
-      workloads::load_prime_inv_input(km.mem(), od.a);
-      workloads::load_prime_wide_input(km.mem(), od.wide);
-    }
-    km.call();
-  }
-  const armvm::RunStats s = km.cpu().stats();
-
-  telemetry::Json p = telemetry::Json::object();
-  p.set("kernel", telemetry::Json::str(kernel_name));
-  p.set("calls", telemetry::Json::number(std::uint64_t{calls}));
-  p.set("instructions", telemetry::Json::number(s.instructions));
-  p.set("cycles", telemetry::Json::number(s.cycles));
-  p.set("energy_uj", telemetry::Json::number(s.energy().energy_uj()));
-  telemetry::Json fns = telemetry::Json::array();
-  for (const profile::Profiler::FunctionStats& f : prof.functions()) {
-    telemetry::Json fj = telemetry::Json::object();
-    fj.set("name", telemetry::Json::str(f.name));
-    fj.set("calls", telemetry::Json::number(f.calls));
-    fj.set("instructions", telemetry::Json::number(f.instructions));
-    fj.set("self_cycles", telemetry::Json::number(f.self_cycles));
-    fj.set("inclusive_cycles", telemetry::Json::number(f.inclusive_cycles));
-    fns.push(std::move(fj));
-  }
-  p.set("functions", std::move(fns));
-  return p;
-}
-
 }  // namespace
-
-// ---- payload builders -----------------------------------------------
-
-telemetry::Json workload_payload(const workloads::WorkloadSpec& spec,
-                                 unsigned reps,
-                                 const workloads::ReplayResult& result,
-                                 armvm::Cpu::DecodeMode engine,
-                                 const armvm::MemModelConfig& mem_model) {
-  telemetry::Json p = telemetry::Json::object();
-  p.set("workload", telemetry::Json::str(spec.name));
-  p.set("transaction", telemetry::Json::str(spec.transaction));
-  p.set("curve", telemetry::Json::str(spec.curve.name));
-  p.set("point_muls", telemetry::Json::number(std::uint64_t{spec.point_muls}));
-  p.set("reps", telemetry::Json::number(std::uint64_t{reps}));
-  p.set("engine", telemetry::Json::str(armvm::decode_mode_name(engine)));
-  p.set("mem_model",
-        telemetry::Json::str(armvm::mem_model_name(mem_model.kind)));
-  p.set("ops", ops_json(spec.ops));
-  p.set("instructions", telemetry::Json::number(result.stats.instructions));
-  p.set("cycles", telemetry::Json::number(result.stats.cycles));
-  p.set("energy_uj",
-        telemetry::Json::number(result.stats.energy().energy_uj()));
-  p.set("fused_retired", telemetry::Json::number(result.fused_retired));
-  p.set("output_digest", telemetry::Json::number(result.output_digest));
-  return p;
-}
-
-telemetry::Json campaign_payload(const faultsim::CampaignResult& result) {
-  const auto& profiles = faultsim::protection_profiles();
-  telemetry::Json p = telemetry::Json::object();
-  p.set("seed", telemetry::Json::number(result.config.seed));
-  p.set("runs_per_model",
-        telemetry::Json::number(result.config.runs_per_model));
-  p.set("curve", telemetry::Json::str(result.config.curve));
-  p.set("engine", telemetry::Json::str(
-                      armvm::decode_mode_name(result.config.engine)));
-  telemetry::Json models = telemetry::Json::array();
-  for (const faultsim::ModelResult& m : result.models) {
-    telemetry::Json mj = telemetry::Json::object();
-    mj.set("model", telemetry::Json::str(faultsim::fault_model_name(m.model)));
-    mj.set("runs", telemetry::Json::number(m.runs));
-    mj.set("injected", telemetry::Json::number(m.injected));
-    telemetry::Json per = telemetry::Json::array();
-    for (unsigned i = 0; i < faultsim::kNumProfiles; ++i) {
-      telemetry::Json pj = telemetry::Json::object();
-      pj.set("profile", telemetry::Json::str(profiles[i].name));
-      pj.set("tally", tally_json(m.per_profile[i]));
-      per.push(std::move(pj));
-    }
-    mj.set("per_profile", std::move(per));
-    models.push(std::move(mj));
-  }
-  p.set("models", std::move(models));
-  telemetry::Json costs = telemetry::Json::array();
-  for (unsigned i = 0; i < faultsim::kNumProfiles; ++i) {
-    telemetry::Json cj = telemetry::Json::object();
-    cj.set("profile", telemetry::Json::str(profiles[i].name));
-    cj.set("ops", ops_json(result.costs[i].ops));
-    cj.set("cycles", telemetry::Json::number(result.costs[i].cycles));
-    cj.set("energy_uj", telemetry::Json::number(result.costs[i].energy_uj));
-    costs.push(std::move(cj));
-  }
-  p.set("costs", std::move(costs));
-  return p;
-}
-
-telemetry::Json mem_campaign_payload(
-    const faultsim::MemCampaignResult& result) {
-  const auto& profiles = faultsim::protection_profiles();
-  telemetry::Json p = telemetry::Json::object();
-  p.set("seed", telemetry::Json::number(result.config.seed));
-  p.set("runs_per_cell", telemetry::Json::number(result.config.runs_per_cell));
-  p.set("curve", telemetry::Json::str(result.config.curve));
-  telemetry::Json models = telemetry::Json::array();
-  for (const faultsim::MemModelReport& m : result.models) {
-    telemetry::Json mj = telemetry::Json::object();
-    mj.set("model",
-           telemetry::Json::str(armvm::mem_model_name(m.config.kind)));
-    mj.set("clean_cycles", telemetry::Json::number(m.clean_cycles));
-    mj.set("clean_energy_pj", telemetry::Json::number(m.clean_energy_pj));
-    telemetry::Json cells = telemetry::Json::array();
-    for (const faultsim::MemCell& c : m.cells) {
-      telemetry::Json cj = telemetry::Json::object();
-      cj.set("ber", telemetry::Json::number(c.ber));
-      cj.set("flipped_bits", telemetry::Json::number(c.flipped_bits));
-      cj.set("hw_corrections", telemetry::Json::number(c.hw_corrections));
-      cj.set("scrub_corrections",
-             telemetry::Json::number(c.scrub_corrections));
-      telemetry::Json per = telemetry::Json::array();
-      for (unsigned i = 0; i < faultsim::kNumProfiles; ++i) {
-        telemetry::Json pj = telemetry::Json::object();
-        pj.set("profile", telemetry::Json::str(profiles[i].name));
-        pj.set("tally", mem_tally_json(c.per_profile[i]));
-        per.push(std::move(pj));
-      }
-      cj.set("per_profile", std::move(per));
-      cells.push(std::move(cj));
-    }
-    mj.set("cells", std::move(cells));
-    models.push(std::move(mj));
-  }
-  p.set("models", std::move(models));
-  return p;
-}
-
-telemetry::Json ct_payload(const sca::CtReport& report) {
-  telemetry::Json p = telemetry::Json::object();
-  p.set("kernel", telemetry::Json::str(report.target));
-  p.set("runs", telemetry::Json::number(std::uint64_t{report.runs}));
-  p.set("constant", telemetry::Json::boolean(report.constant));
-  p.set("constant_addresses",
-        telemetry::Json::boolean(report.constant_addresses));
-  p.set("trace_len", telemetry::Json::number(report.trace_len));
-  p.set("ref_cycles", telemetry::Json::number(report.ref_cycles));
-  p.set("min_cycles", telemetry::Json::number(report.min_cycles));
-  p.set("max_cycles", telemetry::Json::number(report.max_cycles));
-  p.set("digest", telemetry::Json::number(report.digest));
-  return p;
-}
 
 // ---- Connection ------------------------------------------------------
 
@@ -457,8 +254,10 @@ void Server::session_loop(std::shared_ptr<Connection> conn) {
     if (req.op == "shutdown") {
       telemetry::Json p = telemetry::Json::object();
       p.set("stopping", telemetry::Json::boolean(true));
-      conn->send(wire::make_response(req.id, req.op, std::move(p)));
+      // Raise the flag before acknowledging: a client that has read the
+      // response must find stop_requested() already true.
       stop_requested_.store(true, std::memory_order_release);
+      conn->send(wire::make_response(req.id, req.op, std::move(p)));
       continue;
     }
     if (!is_known_op(req.op)) {
@@ -580,8 +379,10 @@ telemetry::Json Server::handle(WorkerState& state, const Job& job) {
         throw OpError{wire::ErrorCode::kBadParam,
                       "param 'calls' must be in [1, 1000]"};
       }
-      return profile_payload_for(kernel, static_cast<unsigned>(calls),
-                                 config_.engine, config_.mem_model);
+      return profile_payload(
+          kernel, static_cast<unsigned>(calls),
+          profile_kernel(kernel, static_cast<unsigned>(calls), config_.engine,
+                         config_.mem_model));
     }
     if (req.op == "sleep") {
       // Diagnostic op: hold a worker for `ms` milliseconds. Exists so
@@ -609,9 +410,11 @@ telemetry::Json Server::handle(WorkerState& state, const Job& job) {
 
 void Server::finish(const Job& job, const telemetry::Json& response,
                     bool ok) {
-  job.conn->send(response);
+  // Count before answering, so a client that has its response finds the
+  // request in the next `stats`; the latency still ends at the send.
   metrics_->counter("serve.requests").add(1);
   if (!ok) metrics_->counter("serve.errors").add(1);
+  job.conn->send(response);
   metrics_->record("serve." + job.req.op + ".latency_ns",
                    telemetry::Unit::kNanos, now_ns() - job.enqueue_ns);
 }

@@ -19,8 +19,8 @@
 //          and every requester gets the byte-identical payload.
 //
 // Identity contract: every served payload is built by the same
-// payload builders (workload_payload, campaign_payload, ...) a direct
-// library call would use, over the same deterministic library results —
+// payload builders (service/payloads.h) a direct library call would
+// use, over the same deterministic library results —
 // so a response payload is bit-identical to the equivalent in-process
 // call for any worker count, coalesced or not. The loopback tests and
 // bench_serve hold this as an acceptance gate.
@@ -36,8 +36,7 @@
 
 #include "armvm/cpu.h"
 #include "armvm/memmodel.h"
-#include "faultsim/campaign.h"
-#include "sca/ct_check.h"
+#include "service/payloads.h"
 #include "service/wire.h"
 #include "sim/batch.h"
 #include "sim/mpmc_queue.h"
@@ -156,30 +155,5 @@ class Server {
   std::vector<std::thread> sessions_;
   std::vector<std::weak_ptr<Connection>> conns_;
 };
-
-// ---- payload builders -----------------------------------------------
-//
-// The serve handlers and the direct library path share these builders;
-// byte-comparing their dumps is how tests prove the service adds
-// nothing and loses nothing.
-
-/// Payload of the kp / ecdh / ecdsa ops: the workload identity, its
-/// field-op mix, and the deterministic replay result (cycles,
-/// instructions, fused pairs, output digest) under `engine`/`mem_model`.
-telemetry::Json workload_payload(const workloads::WorkloadSpec& spec,
-                                 unsigned reps,
-                                 const workloads::ReplayResult& result,
-                                 armvm::Cpu::DecodeMode engine,
-                                 const armvm::MemModelConfig& mem_model);
-
-/// Payload of the `campaign` op: the full fault-model × protection-
-/// profile detection matrix plus clean-run countermeasure costs.
-telemetry::Json campaign_payload(const faultsim::CampaignResult& result);
-
-/// Payload of the `memfault` op: the BER × memory-model × profile sweep.
-telemetry::Json mem_campaign_payload(const faultsim::MemCampaignResult& result);
-
-/// Payload of the `sca` op: the constant-trace verdicts of one kernel.
-telemetry::Json ct_payload(const sca::CtReport& report);
 
 }  // namespace eccm0::service

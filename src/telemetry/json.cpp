@@ -63,13 +63,6 @@ Json Json::object() {
   return j;
 }
 
-Json Json::raw(std::string json) {
-  Json j;
-  j.kind_ = Kind::kRaw;
-  j.scalar_ = std::move(json);
-  return j;
-}
-
 Json& Json::set(std::string key, Json value) {
   if (kind_ != Kind::kObject) throw std::invalid_argument("set() on non-object");
   members_.emplace_back(std::move(key), std::move(value));
@@ -124,7 +117,6 @@ void Json::dump_to(std::string& out) const {
       break;
     case Kind::kBool:
     case Kind::kNumber:
-    case Kind::kRaw:
       out += scalar_;
       break;
     case Kind::kString:
@@ -275,15 +267,23 @@ class Parser {
     return Json::number_token(std::string(text_.substr(start, pos_ - start)));
   }
 
+  /// Enter one array/object level; the matching leave() runs on every
+  /// successful return (a throw abandons the whole parse).
+  void enter() {
+    if (++depth_ > Json::kMaxDepth) fail("nesting too deep");
+    ++pos_;
+  }
+
   Json parse_value() {
     skip_ws();
     char c = peek();
     if (c == '{') {
-      ++pos_;
+      enter();
       Json obj = Json::object();
       skip_ws();
       if (peek() == '}') {
         ++pos_;
+        --depth_;
         return obj;
       }
       for (;;) {
@@ -298,15 +298,17 @@ class Parser {
           continue;
         }
         expect('}');
+        --depth_;
         return obj;
       }
     }
     if (c == '[') {
-      ++pos_;
+      enter();
       Json arr = Json::array();
       skip_ws();
       if (peek() == ']') {
         ++pos_;
+        --depth_;
         return arr;
       }
       for (;;) {
@@ -317,6 +319,7 @@ class Parser {
           continue;
         }
         expect(']');
+        --depth_;
         return arr;
       }
     }
@@ -329,6 +332,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< open arrays/objects around pos_
 };
 
 }  // namespace

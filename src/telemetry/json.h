@@ -1,21 +1,20 @@
-// Minimal ordered JSON value model for the telemetry layer.
-//
-// The bench/report.h JsonWriter is write-only; the run-manifest story
-// needs the other direction too (`ecctool stats` pretty-prints a saved
-// manifest), so this header carries a tiny DOM with a strict
-// recursive-descent parser and a deterministic serializer. Two rules
-// keep manifests byte-stable across runs:
+// Minimal ordered JSON value model: the repo's one JSON emitter and
+// parser. Every bench, every ecctool subcommand and the serve wire
+// protocol build a Json tree and dump it; `ecctool stats` and serve
+// parse documents back. A tiny DOM with a strict recursive-descent
+// parser and a deterministic serializer. Two rules keep manifests
+// byte-stable across runs:
 //
 //   * objects preserve insertion order (a std::vector of pairs, no
 //     hashing) — building the same manifest twice dumps the same bytes;
 //   * numbers parsed from text keep their original spelling, and
-//     numbers built programmatically are formatted exactly like
-//     bench::JsonWriter ("%.6g" for doubles, full decimal for
-//     integers), so a parse/dump round trip is the identity.
+//     numbers built programmatically have one fixed format ("%.6g" for
+//     doubles, full decimal for integers), so a parse/dump round trip
+//     is the identity.
 //
 // Not a general-purpose JSON library: no \uXXXX decoding beyond
-// pass-through, 64-bit integers only, throws std::invalid_argument on
-// malformed input.
+// pass-through, 64-bit integers only, nesting capped at kMaxDepth,
+// throws std::invalid_argument on malformed input.
 #pragma once
 
 #include <cstdint>
@@ -35,8 +34,13 @@ class Json {
     kString,
     kArray,
     kObject,
-    kRaw,  ///< pre-serialized splice, dumped verbatim (never parsed back)
   };
+
+  /// Deepest array/object nesting parse() accepts. The parser recurses
+  /// once per level, so without a cap a frame of ~100 000 '[' bytes
+  /// overflows the stack of whatever thread parses it; deeper input is
+  /// rejected like any other malformed document.
+  static constexpr std::size_t kMaxDepth = 256;
 
   Json() = default;
 
@@ -45,15 +49,13 @@ class Json {
   static Json boolean(bool b);
   static Json number(std::uint64_t v);
   static Json number(std::int64_t v);
-  static Json number(double v);  ///< "%.6g", JsonWriter-compatible
+  static Json number(double v);  ///< "%.6g"
   /// Number node carrying an exact token spelling (the parser uses this
   /// so a parse/dump round trip preserves the source bytes).
   static Json number_token(std::string token);
   static Json str(std::string s);
   static Json array();
   static Json object();
-  /// Splice pre-serialized JSON (e.g. a bench::JsonWriter payload).
-  static Json raw(std::string json);
 
   Kind kind() const { return kind_; }
   bool is_object() const { return kind_ == Kind::kObject; }
@@ -88,14 +90,15 @@ class Json {
   void dump_to(std::string& out) const;
 
   /// Strict parse of a complete JSON document (trailing garbage rejected).
-  /// Throws std::invalid_argument with an offset on malformed input.
+  /// Throws std::invalid_argument with an offset on malformed input,
+  /// including nesting deeper than kMaxDepth.
   static Json parse(std::string_view text);
 
   static std::string escape(std::string_view s);
 
  private:
   Kind kind_ = Kind::kNull;
-  std::string scalar_;  ///< bool/number token, string payload, or raw JSON
+  std::string scalar_;  ///< bool/number token or string payload
   std::vector<std::pair<std::string, Json>> members_;  ///< kObject
   std::vector<Json> items_;                            ///< kArray
 };

@@ -13,8 +13,7 @@
 //
 // Key order is fixed (insertion-ordered Json) and wall-clock metrics are
 // excluded, so a fixed seed + thread count reproduces the file byte for
-// byte. `payload` precedes `metrics` so incremental writers can stream
-// the payload and append the snapshot last.
+// byte.
 #pragma once
 
 #include <string>
@@ -47,8 +46,6 @@ class RunManifest {
   Json& run() { return run_; }
 
   void set_payload(Json payload) { payload_ = std::move(payload); }
-  /// Splice a pre-serialized payload (e.g. a bench::JsonWriter string).
-  void set_payload_raw(std::string json) { payload_ = Json::raw(std::move(json)); }
   void set_metrics(const MetricsRegistry& reg) {
     metrics_ = reg.snapshot_json();
   }

@@ -1,7 +1,8 @@
 // Serve front-end: wire-schema envelopes (key order, typed error codes,
-// framing), request validation, and the identity contract — every
-// payload served over the socket is byte-identical to the equivalent
-// direct library call, for any worker count, coalesced or not.
+// framing), request validation, hostile frames, and the identity
+// contract — every payload served over the socket is byte-identical to
+// the equivalent direct library call, for any worker count, coalesced
+// or not.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "faultsim/campaign.h"
+#include "sca/ct_check.h"
 #include "service/client.h"
 #include "service/server.h"
 #include "service/wire.h"
@@ -198,6 +200,86 @@ TEST(Server, ServedCampaignPayloadIsBitIdenticalToDirectRun) {
   const telemetry::Json direct =
       campaign_payload(faultsim::run_kp_campaign(cfg));
   EXPECT_EQ(resp.get("payload")->dump(), direct.dump());
+  server.stop();
+}
+
+/// Serve one campaign-style op on a fresh 2-worker server and return its
+/// payload dump (fails the test on an error response).
+std::string served_payload(const std::string& op, telemetry::Json params) {
+  Server server(test_config(2));
+  server.start();
+  Client client;
+  client.connect_to(server.port());
+  const telemetry::Json resp = client.call(op, std::move(params));
+  server.stop();
+  EXPECT_TRUE(resp.get("ok")->as_bool()) << resp.dump();
+  const telemetry::Json* payload = resp.get("payload");
+  return payload != nullptr ? payload->dump() : std::string();
+}
+
+TEST(Server, ServedMemfaultPayloadIsBitIdenticalToDirectRun) {
+  telemetry::Json params = telemetry::Json::object();
+  params.set("curve", telemetry::Json::str("sect233k1"));
+  params.set("runs", telemetry::Json::number(std::uint64_t{2}));
+  params.set("seed", telemetry::Json::number(std::uint64_t{0xBEE}));
+  const std::string served = served_payload("memfault", std::move(params));
+
+  faultsim::MemCampaignConfig cfg;
+  cfg.curve = "sect233k1";
+  cfg.runs_per_cell = 2;
+  cfg.seed = 0xBEE;
+  cfg.threads = 1;
+  EXPECT_EQ(served, mem_campaign_payload(faultsim::run_mem_campaign(cfg)).dump());
+}
+
+TEST(Server, ServedScaPayloadIsBitIdenticalToDirectRun) {
+  telemetry::Json params = telemetry::Json::object();
+  params.set("kernel", telemetry::Json::str("inv"));
+  params.set("runs", telemetry::Json::number(std::uint64_t{4}));
+  params.set("seed", telemetry::Json::number(std::uint64_t{9}));
+  const std::string served = served_payload("sca", std::move(params));
+
+  sca::CtConfig cfg;
+  cfg.kernel = "inv";
+  cfg.runs = 4;
+  cfg.seed = 9;
+  EXPECT_EQ(served, ct_payload(sca::check_kernel_constant_trace(cfg)).dump());
+}
+
+TEST(Server, ServedProfilePayloadIsBitIdenticalToDirectRun) {
+  telemetry::Json params = telemetry::Json::object();
+  params.set("kernel", telemetry::Json::str("inv"));
+  params.set("calls", telemetry::Json::number(std::uint64_t{3}));
+  const std::string served = served_payload("profile", std::move(params));
+
+  const armvm::Cpu::DecodeMode engine = armvm::Cpu::DecodeMode::kPredecode;
+  EXPECT_EQ(served,
+            profile_payload("inv", 3, profile_kernel("inv", 3, engine, {}))
+                .dump());
+  // ecctool profile fans the calls across contexts; the merged
+  // attribution must not depend on how many.
+  EXPECT_EQ(served,
+            profile_payload("inv", 3, profile_kernel("inv", 3, engine, {}, 3))
+                .dump());
+}
+
+TEST(Server, DeeplyNestedFrameIsBadJsonAndTheConnectionSurvives) {
+  // A 100 000-deep document used to overflow the session thread's stack
+  // inside Json::parse and take the whole server down.
+  Server server(test_config(1));
+  server.start();
+  Client client;
+  client.connect_to(server.port());
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  for (const std::string& body : {std::string(100000, '['), objects}) {
+    const telemetry::Json resp = client.call_raw(body);
+    EXPECT_FALSE(resp.get("ok")->as_bool());
+    EXPECT_EQ(resp.get("error")->get("code")->as_string(), "bad_json");
+  }
+  const telemetry::Json resp = client.call("ping", telemetry::Json::object());
+  EXPECT_TRUE(resp.get("ok")->as_bool());
+  EXPECT_TRUE(resp.get("payload")->get("pong")->as_bool());
   server.stop();
 }
 

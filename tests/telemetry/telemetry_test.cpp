@@ -4,6 +4,7 @@
 // of metrics merged out of sim::BatchExecutor worker shards.
 #include <cstdint>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -306,7 +307,35 @@ TEST(JsonTest, RejectsMalformed) {
   }
 }
 
-TEST(JsonTest, BuiltNumbersMatchJsonWriterFormat) {
+TEST(JsonTest, DeepNestingIsRejectedNotAStackOverflow) {
+  // The parser recurses once per array/object level; without a cap a
+  // ~100 KB frame of '[' exhausts the parsing thread's stack.
+  for (const char open : {'[', '{'}) {
+    EXPECT_THROW((void)Json::parse(std::string(100000, open)),
+                 std::invalid_argument)
+        << open;
+  }
+  std::string deep_arrays;
+  for (std::size_t i = 0; i < 100000; ++i) deep_arrays += "[1,";
+  EXPECT_THROW((void)Json::parse(deep_arrays), std::invalid_argument);
+  std::string deep_objects;
+  for (std::size_t i = 0; i < 100000; ++i) deep_objects += "{\"a\":";
+  EXPECT_THROW((void)Json::parse(deep_objects), std::invalid_argument);
+
+  // Exactly kMaxDepth levels still parse (and round-trip); one more throws.
+  const std::string at_cap = std::string(Json::kMaxDepth, '[') +
+                             std::string(Json::kMaxDepth, ']');
+  EXPECT_EQ(Json::parse(at_cap).dump(), at_cap);
+  const std::string over_cap = "[" + at_cap + "]";
+  EXPECT_THROW((void)Json::parse(over_cap), std::invalid_argument);
+  // Depth is nesting, not total container count.
+  std::string wide = "[";
+  for (std::size_t i = 0; i < 4 * Json::kMaxDepth; ++i) wide += "[],";
+  wide += "{}]";
+  EXPECT_EQ(Json::parse(wide).dump(), wide);
+}
+
+TEST(JsonTest, BuiltNumbersUseFixedFormat) {
   EXPECT_EQ(Json::number(std::uint64_t{42}).dump(), "42");
   EXPECT_EQ(Json::number(0.5).dump(), "0.5");  // "%.6g"
   EXPECT_EQ(Json::number(1e-6).dump(), "1e-06");
@@ -332,8 +361,7 @@ TEST(ManifestTest, EnvelopeShapeAndPredicate) {
   EXPECT_TRUE(is_manifest(doc));
   EXPECT_EQ(doc.get("schema")->as_string(), kManifestSchema);
   EXPECT_EQ(doc.get("tool")->as_string(), "unit-test");
-  // Fixed section order: the envelope must stream the same way from
-  // RunManifest and from bench::manifest_begin/end.
+  // Fixed section order, whatever order the sections were set in.
   ASSERT_EQ(doc.members().size(), 6u);
   EXPECT_EQ(doc.members()[0].first, "schema");
   EXPECT_EQ(doc.members()[1].first, "tool");
