@@ -1,9 +1,12 @@
 #include "faultsim/campaign.h"
 
+#include <algorithm>
+#include <functional>
 #include <span>
 
 #include "asmkernels/gen.h"
 #include "ecp/costing.h"
+#include "ecp/ops.h"
 #include "faultsim/biterr.h"
 #include "gf2/k233.h"
 #include "relic_like/costs.h"
@@ -19,22 +22,22 @@ using ec::AffinePoint;
 using ec::CurveOps;
 using mpint::UInt;
 
-const char* outcome_name(Outcome o) {
-  switch (o) {
-    case Outcome::kCorrect: return "correct";
-    case Outcome::kDetected: return "detected";
-    case Outcome::kCrashed: return "crashed";
-    case Outcome::kSilentWrong: return "silent-wrong";
-  }
-  return "unknown-outcome";
-}
-
 void OutcomeTally::add(Outcome o) {
   switch (o) {
     case Outcome::kCorrect: ++correct; break;
     case Outcome::kDetected: ++detected; break;
     case Outcome::kCrashed: ++crashed; break;
     case Outcome::kSilentWrong: ++silent; break;
+  }
+}
+
+void MemOutcomeTally::add(MemOutcome o) {
+  switch (o) {
+    case MemOutcome::kCorrect: ++correct; break;
+    case MemOutcome::kCorrected: ++corrected; break;
+    case MemOutcome::kDetected: ++detected; break;
+    case MemOutcome::kCrashed: ++crashed; break;
+    case MemOutcome::kSilentWrong: ++silent; break;
   }
 }
 
@@ -56,27 +59,52 @@ constexpr std::uint32_t kKernelDataWords = asmkernels::kSqrTabOff / 4;
 constexpr std::size_t kKernelRamSize = 0x800;
 /// Clean kernel runs ~2k instructions; anything past this looped.
 constexpr std::uint64_t kKernelBudget = 200'000;
+/// A spec whose trigger never comes: the kernel runs clean.
+constexpr FaultSpec kNoFault{.index = ~std::uint64_t{0}};
 
 /// Thrown out of the tamper hook when the injected kernel run crashed,
 /// unwinding the whole scalar multiplication the way a node reset would.
 struct CrashSignal {};
 
-gf2::k233::Fe to_fe(const gf2::Elem& e) {
-  gf2::k233::Fe f{};
-  for (std::size_t i = 0; i < f.size(); ++i) f[i] = e[i];
-  return f;
+/// Everything one spliced kP run observes; enough to classify it under
+/// every (memory model, countermeasure profile) pair.
+struct RunObservation {
+  bool crashed = false;    ///< non-integrity armvm::Fault or watchdog
+  bool integrity = false;  ///< MemoryIntegrityFault (hardware detection)
+  bool vm_injected = false;
+  bool wrong = false;
+  bool inf = false;
+  bool oncurve = true;
+  bool order_ok = true;
+  bool collapsed = false;
+  std::uint64_t flipped = 0;
+  std::uint64_t hw_corrections = 0;
+  std::uint64_t scrub_corrections = 0;
+  /// Simulated cycles of the VM kernel run (captured even when it
+  /// crashed) — deterministic, unlike wall time, so it can feed a
+  /// manifest histogram.
+  std::uint64_t vm_cycles = 0;
+};
+
+void record_vm_cycles(telemetry::MetricsRegistry& metrics,
+                      const std::string& name,
+                      const std::vector<RunObservation>& observations) {
+  telemetry::Histogram cycles;
+  for (const RunObservation& obs : observations) cycles.record(obs.vm_cycles);
+  metrics.merge_histogram(name, telemetry::Unit::kCycles, cycles);
 }
 
-gf2::Elem from_fe(const gf2::k233::Fe& f) {
-  gf2::Elem e{};
-  for (std::size_t i = 0; i < f.size(); ++i) e[i] = f[i];
-  return e;
-}
-
-void write_fe(armvm::Memory& mem, std::uint32_t offset,
-              const gf2::k233::Fe& v) {
-  mem.write_words(armvm::kRamBase + offset,
-                  std::span<const std::uint32_t>(v.data(), v.size()));
+/// The countermeasure rule of ec::scalarmul_protected: whether profile
+/// `o` refuses the wrong result `obs` describes.
+bool refuses(const ec::ProtectOpts& o, const RunObservation& obs) {
+  // The protected path refuses an off-curve result, an impossible
+  // identity (kP = inf with validated 0 < k < n), and a mid-loop
+  // identity collapse (whose rebuilt endpoint is a valid wrong point
+  // the two end checks cannot see).
+  if (o.recheck_result && (obs.inf || !obs.oncurve || obs.collapsed)) {
+    return true;
+  }
+  return o.order_check && obs.oncurve && !obs.inf && !obs.order_ok;
 }
 
 std::uint64_t priced_cycles(const ec::FieldOpCounts& ops,
@@ -85,68 +113,6 @@ std::uint64_t priced_cycles(const ec::FieldOpCounts& ops,
          ops.sqr * (t.sqr + t.call_overhead) +
          ops.inv * (t.inv + t.call_overhead) +
          ops.add * (t.fadd + t.call_overhead);
-}
-
-/// Seed-derived golden experiment shared by both campaigns: the fixed
-/// (P, k), the golden kP, and the fmul sample space of one clean kP.
-/// The RNG consumption order is load-bearing — it reproduces the exact
-/// stream the original KpFaultCampaign constructor drew, so committed
-/// campaign baselines (BENCH_fault_campaign.json) are unchanged.
-struct GoldenKp {
-  AffinePoint p;
-  UInt k;
-  AffinePoint golden;
-  std::uint64_t muls_per_kp = 0;
-};
-
-/// Prime-curve analogue of GoldenKp, derived with the same seed
-/// discipline (its own stream — the binary stream is untouched, so the
-/// committed binary campaign baselines are byte-identical).
-struct GoldenKpP {
-  ecp::AffinePointP p;
-  UInt k;
-  ecp::AffinePointP golden;
-  std::uint64_t muls_per_kp = 0;
-};
-
-GoldenKpP derive_golden_p(const ecp::PrimeCurve& curve, std::uint64_t seed) {
-  GoldenKpP out;
-  Rng rng(seed);
-  ecp::PrimeCurveOps ops(curve);
-  const ecp::AffinePointP g = ops.generator();
-  UInt r;
-  do {
-    r = UInt::random_below(rng, curve.order);
-  } while (r.is_zero());
-  out.p = ecp::mul_wnaf_p(ops, g, r, 4);
-  do {
-    out.k = UInt::random_below(rng, curve.order);
-  } while (out.k.is_zero());
-  out.golden = ecp::mul_wnaf_p(ops, out.p, out.k, 4);
-
-  ecp::PrimeCurveOps counting(curve);
-  (void)ecp::mul_wnaf_p(counting, out.p, out.k, 4);
-  out.muls_per_kp = counting.counts().mul;
-  return out;
-}
-
-/// Write a UInt's low `n` limbs (zero padded) into kernel RAM.
-void write_uint(armvm::Memory& mem, std::uint32_t offset, const UInt& v,
-                std::size_t n) {
-  const auto limbs = v.limbs();
-  for (std::size_t i = 0; i < n; ++i) {
-    mem.store32(armvm::kRamBase + offset + 4 * static_cast<std::uint32_t>(i),
-                i < limbs.size() ? limbs[i] : 0);
-  }
-}
-
-UInt read_uint(armvm::Memory& mem, std::uint32_t offset, std::size_t n) {
-  std::vector<std::uint32_t> w(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    w[i] = mem.load32(armvm::kRamBase + offset +
-                      4 * static_cast<std::uint32_t>(i));
-  }
-  return UInt(std::move(w));
 }
 
 /// FieldCostTable view of the n-limb prime-field cost model, so both
@@ -164,275 +130,257 @@ ec::FieldCostTable prime_cost_table(std::size_t limbs) {
   return t;
 }
 
-GoldenKp derive_golden(const ec::BinaryCurve& curve, std::uint64_t seed) {
-  GoldenKp out;
-  Rng rng(seed);
-  CurveOps ops(curve);
-  const AffinePoint g = AffinePoint::make(curve.gx, curve.gy);
-  // Seed-derived experiment point and scalar (both kept fixed across the
-  // campaign so every injection perturbs the same golden computation).
-  UInt r;
+/// A uniform nonzero scalar below `order`.
+UInt nonzero_below(Rng& rng, const UInt& order) {
+  UInt v;
   do {
-    r = UInt::random_below(rng, curve.order);
-  } while (r.is_zero());
-  out.p = ec::mul_wtnaf(ops, g, r, 4);
-  do {
-    out.k = UInt::random_below(rng, curve.order);
-  } while (out.k.is_zero());
-  out.golden = ec::mul_wtnaf(ops, out.p, out.k, 4);
+    v = UInt::random_below(rng, order);
+  } while (v.is_zero());
+  return v;
+}
 
-  // How many fmul calls one clean kP (table build + Horner loop) makes:
-  // the sample space for which multiplication gets the fault.
-  CurveOps counting(curve);
-  const ec::WtnafTable t = ec::make_wtnaf_table(counting, out.p, 4);
-  (void)ec::mul_wtnaf_ld(counting, t, out.k);
-  out.muls_per_kp = counting.counts().mul;
-  return out;
+/// The kernel operand words of a GF(2^233) element.
+std::span<const std::uint32_t> fe_words(const gf2::Elem& e) {
+  return {e.data(), gf2::k233::kWords};
 }
 
 }  // namespace
 
-KpFaultCampaign::KpFaultCampaign(std::uint64_t seed,
-                                 armvm::Cpu::DecodeMode engine,
-                                 const std::string& curve)
-    : seed_(seed),
-      engine_(engine),
+/// The spliced-kP experiment, on either field family. One seed fixes
+/// (P, k) and the golden kP; an observed run computes that kP with the
+/// curve's production scalar multiplication (wTNAF on sect233k1,
+/// Jacobian wNAF on the secp curves) natively, except that one field
+/// multiplication runs on the VM kernel (fixed-register LD or
+/// Montgomery) and whatever comes out of it is spliced back.
+class GoldenKp {
+ public:
+  /// The caller's kernel run: executes kernel() on RAM that already
+  /// holds the operands and says how it ended.
+  using KernelRun = std::function<InjectedRun(armvm::Memory&)>;
+
+  GoldenKp(const std::string& curve, std::uint64_t seed);
+
+  const armvm::ProgramRef& kernel() const { return kernel_; }
+  /// Field multiplications in one clean kP: the splice target space.
+  std::uint64_t muls_per_kp() const { return muls_per_kp_; }
+  /// The kernel's live RAM, in words: the RAM-flip target region.
+  std::uint32_t data_words() const { return data_words_; }
+
+  /// One clean kernel call under `model` on P's coordinates: a
+  /// representative multiplication of the golden kP.
+  armvm::RunStats clean_call(const armvm::MemModelConfig& model,
+                             armvm::Cpu::DecodeMode engine) const;
+
+  /// Compute kP with field multiplication `target` done by `run_kernel`
+  /// on fresh RAM under `model`. Pure in its arguments over immutable
+  /// state, so any thread can observe any run.
+  RunObservation observe(std::uint64_t target,
+                         const armvm::MemModelConfig& model,
+                         const KernelRun& run_kernel) const;
+
+  /// Clean-run field-op counts of each profile priced with `prices`.
+  std::array<ProfileCost, kNumProfiles> profile_costs(
+      const ec::FieldCostTable& prices) const;
+
+ private:
+  bool prime() const { return pcurve_ != nullptr; }
+  /// Fresh kernel RAM under `model` holding operands `a` and `b` (and
+  /// the prime modulus block), written through the harness path: the
+  /// loads charge no wait states and do not tick the scrub clock.
+  armvm::Memory load(const armvm::MemModelConfig& model,
+                     std::span<const std::uint32_t> a,
+                     std::span<const std::uint32_t> b) const;
+  /// The kernel operand words of a GF(p) element (zero padded).
+  std::vector<std::uint32_t> limbs(const UInt& v) const;
+  /// One kernel call on `a`, `b`: the product words to splice back, or
+  /// CrashSignal when the run or the readout failed.
+  std::vector<std::uint32_t> run_spliced(std::span<const std::uint32_t> a,
+                                         std::span<const std::uint32_t> b,
+                                         const armvm::MemModelConfig& model,
+                                         const KernelRun& run_kernel,
+                                         RunObservation& obs) const;
+
+  const workloads::CurveRef& ref_;
+  const ec::BinaryCurve& curve_;
+  const ecp::PrimeCurve* pcurve_ = nullptr;  ///< set on the prime family
+  armvm::ProgramRef kernel_;
+  std::uint32_t data_words_ = 0;
+  std::uint32_t product_off_ = 0;     ///< product words in kernel RAM
+  std::size_t product_words_ = 0;
+  std::uint64_t muls_per_kp_ = 0;
+  UInt k_;
+  AffinePoint p_;                     ///< binary family
+  AffinePoint golden_;
+  ecp::AffinePointP pp_;              ///< prime family
+  ecp::AffinePointP pgolden_;
+};
+
+// The RNG consumption order below is load-bearing: it reproduces the
+// stream every committed campaign baseline was drawn from.
+GoldenKp::GoldenKp(const std::string& curve, std::uint64_t seed)
+    : ref_(workloads::curve_from_name(curve)),
       curve_(ec::BinaryCurve::sect233k1()) {
-  const workloads::CurveRef& ref = workloads::curve_from_name(curve);
-  prime_ = !ref.binary_field;
-  if (!prime_ && ref.name != "sect233k1") {
-    throw std::invalid_argument(
-        "KpFaultCampaign: unsupported binary curve '" + ref.name + "'");
-  }
-  FaultSpec never;
-  never.index = ~std::uint64_t{0};
-  if (prime_) {
-    pcurve_ = &workloads::prime_curve(ref);
-    mul_prog_ = workloads::kernel(ref.kernel_tag + "-mont");
+  Rng rng(seed);
+  if (!ref_.binary_field) {
+    pcurve_ = &workloads::prime_curve(ref_);
+    kernel_ = workloads::kernel(ref_.kernel_tag + "-mont");
     // RAM flips may land anywhere in the prime layout's live data
     // (product..modulus block).
     data_words_ = (asmkernels::kPM0Off + 4) / 4;
-    GoldenKpP golden = derive_golden_p(*pcurve_, seed);
-    pp_ = golden.p;
-    k_ = golden.k;
-    pgolden_ = golden.golden;
-    muls_per_kp_ = golden.muls_per_kp;
+    product_off_ = asmkernels::kOutOff;
+    product_words_ = ref_.limbs;
+    ecp::PrimeCurveOps ops(*pcurve_);
+    pp_ = ecp::mul_wnaf_p(ops, ops.generator(),
+                          nonzero_below(rng, pcurve_->order), 4);
+    k_ = nonzero_below(rng, pcurve_->order);
+    pgolden_ = ecp::mul_wnaf_p(ops, pp_, k_, 4);
 
-    // Clean kernel retirement count on representative operands: unlike
-    // the unrolled gf2 kernel the Montgomery loop's carry propagation
-    // is mildly data-dependent, but the spec window only needs a
-    // representative bound — indices past the actual retirement simply
-    // never fire (counted in `injected`).
-    armvm::Memory mem(kKernelRamSize);
-    workloads::load_prime_modulus(mem, ref);
-    write_uint(mem, asmkernels::kXOff, pp_.x, ref.limbs);
-    write_uint(mem, asmkernels::kYOff, pp_.y, ref.limbs);
-    const InjectedRun clean =
-        run_with_fault(mul_prog_, mem, never, kKernelBudget, engine_);
-    kernel_retires_ = clean.instructions;
+    ecp::PrimeCurveOps counting(*pcurve_);
+    (void)ecp::mul_wnaf_p(counting, pp_, k_, 4);
+    muls_per_kp_ = counting.counts().mul;
     return;
   }
-  mul_prog_ = workloads::kernel("mul");
+  if (ref_.name != "sect233k1") {
+    throw std::invalid_argument("faultsim: unsupported binary curve '" +
+                                ref_.name + "'");
+  }
+  kernel_ = workloads::kernel("mul");
   data_words_ = kKernelDataWords;
-  GoldenKp golden = derive_golden(curve_, seed);
-  p_ = golden.p;
-  k_ = golden.k;
-  golden_ = golden.golden;
-  muls_per_kp_ = golden.muls_per_kp;
-
-  // Clean kernel retirement count: the injection window for specs. The
-  // kernel is straight-line (generator-unrolled), so the count is
-  // operand-independent.
-  armvm::Memory mem(kKernelRamSize);
-  write_fe(mem, asmkernels::kXOff, to_fe(p_.x));
-  write_fe(mem, asmkernels::kYOff, to_fe(p_.y));
-  const InjectedRun clean = run_with_fault(mul_prog_, mem, never,
-                                           kKernelBudget, engine_);
-  kernel_retires_ = clean.instructions;
-}
-
-KpFaultCampaign::RunObservation KpFaultCampaign::evaluate_run(
-    FaultModel model, std::uint64_t run) const {
-  if (prime_) return evaluate_run_p(model, run);
-  // Per-run stream: child `run` of the per-model stream. A pure function
-  // of (seed, model, run), so any thread can evaluate any run and the
-  // campaign is independent of scheduling order.
-  const Rng model_stream(seed_ ^ (0x9E3779B97F4A7C15ull *
-                                  (static_cast<std::uint64_t>(model) + 2)));
-  Rng rng = model_stream.split(run);
-  const std::uint64_t target = rng.next_below(muls_per_kp_);
-  const FaultSpec spec =
-      sample_spec(rng, model, kernel_retires_, data_words_);
-
-  // One evaluation per injection; the observations below are enough to
-  // classify it under every countermeasure set.
-  RunObservation obs;
-  bool fired = false;
+  product_off_ = asmkernels::kVOff;
+  product_words_ = gf2::k233::kWords;
+  // Seed-derived experiment point and scalar (both kept fixed across the
+  // campaign so every injection perturbs the same golden computation).
   CurveOps ops(curve_);
-  ops.set_mul_tamper([&](std::uint64_t idx, const gf2::Elem& a,
-                         const gf2::Elem& b, gf2::Elem& out) {
-    if (fired || idx != target) return;
-    fired = true;
-    armvm::Memory mem(kKernelRamSize);
-    write_fe(mem, asmkernels::kXOff, to_fe(a));
-    write_fe(mem, asmkernels::kYOff, to_fe(b));
-    const InjectedRun vm = run_with_fault(mul_prog_, mem, spec,
-                                          kKernelBudget, engine_);
-    obs.vm_injected = vm.injected;
-    obs.vm_cycles = vm.cycles;
-    if (vm.outcome == RunOutcome::kCrashed) throw CrashSignal{};
-    const auto words =
-        mem.read_words(armvm::kRamBase + asmkernels::kVOff, 8);
-    gf2::k233::Fe fe{};
-    for (std::size_t i = 0; i < fe.size(); ++i) fe[i] = words[i];
-    out = from_fe(fe);
-  });
-  try {
-    const ec::WtnafTable t = ec::make_wtnaf_table(ops, p_, 4, &obs.collapsed);
-    const ec::LDPoint q_ld = ec::mul_wtnaf_ld(ops, t, k_, &obs.collapsed);
-    obs.inf = q_ld.is_inf();
-    obs.oncurve = ops.on_curve_ld(q_ld);
-    const AffinePoint q = ops.to_affine(q_ld);
-    obs.wrong = !(q == golden_);
-    if (obs.wrong && obs.oncurve && !obs.inf) {
-      // Lazy: the order check only matters for the rare faults that
-      // land back on the curve. Doubling-based on purpose — the
-      // tau-adic expansion of n is all zeros, so mul_wtnaf(Q, n) would
-      // pass everything (see protect.cpp).
-      obs.order_ok =
-          ec::mul_wnaf(ops, q, curve_.order, 4) == AffinePoint::infinity();
-    }
-  } catch (const CrashSignal&) {
-    obs.crashed = true;
-  }
-  return obs;
+  p_ = ec::mul_wtnaf(ops, AffinePoint::make(curve_.gx, curve_.gy),
+                     nonzero_below(rng, curve_.order), 4);
+  k_ = nonzero_below(rng, curve_.order);
+  golden_ = ec::mul_wtnaf(ops, p_, k_, 4);
+
+  // How many fmul calls one clean kP (table build + Horner loop) makes:
+  // the sample space for which multiplication gets the fault.
+  CurveOps counting(curve_);
+  const ec::WtnafTable t = ec::make_wtnaf_table(counting, p_, 4);
+  (void)ec::mul_wtnaf_ld(counting, t, k_);
+  muls_per_kp_ = counting.counts().mul;
 }
 
-KpFaultCampaign::RunObservation KpFaultCampaign::evaluate_run_p(
-    FaultModel model, std::uint64_t run) const {
-  // Same stream discipline as the binary path: pure in (seed, model,
-  // run), so the tally is thread-count invariant.
-  const Rng model_stream(seed_ ^ (0x9E3779B97F4A7C15ull *
-                                  (static_cast<std::uint64_t>(model) + 2)));
-  Rng rng = model_stream.split(run);
-  const std::uint64_t target = rng.next_below(muls_per_kp_);
-  const FaultSpec spec =
-      sample_spec(rng, model, kernel_retires_, data_words_);
+std::vector<std::uint32_t> GoldenKp::limbs(const UInt& v) const {
+  std::vector<std::uint32_t> w(ref_.limbs, 0);
+  const auto l = v.limbs();
+  std::copy_n(l.begin(), std::min(l.size(), w.size()), w.begin());
+  return w;
+}
 
-  const workloads::CurveRef& ref = workloads::curve_from_name(pcurve_->name);
-  const std::size_t n = ref.limbs;
+armvm::Memory GoldenKp::load(const armvm::MemModelConfig& model,
+                             std::span<const std::uint32_t> a,
+                             std::span<const std::uint32_t> b) const {
+  armvm::Memory mem(kKernelRamSize, model);
+  if (prime()) workloads::load_prime_modulus(mem, ref_);
+  mem.write_words(armvm::kRamBase + asmkernels::kXOff, a);
+  mem.write_words(armvm::kRamBase + asmkernels::kYOff, b);
+  return mem;
+}
+
+armvm::RunStats GoldenKp::clean_call(const armvm::MemModelConfig& model,
+                                     armvm::Cpu::DecodeMode engine) const {
+  armvm::Memory mem = prime() ? load(model, limbs(pp_.x), limbs(pp_.y))
+                              : load(model, fe_words(p_.x), fe_words(p_.y));
+  armvm::Cpu cpu(kernel_, mem, engine);
+  return cpu.call(kernel_->entry("entry"), {}, kKernelBudget);
+}
+
+std::vector<std::uint32_t> GoldenKp::run_spliced(
+    std::span<const std::uint32_t> a, std::span<const std::uint32_t> b,
+    const armvm::MemModelConfig& model, const KernelRun& run_kernel,
+    RunObservation& obs) const {
+  armvm::Memory mem = load(model, a, b);
+  const InjectedRun vm = run_kernel(mem);
+  obs.vm_injected = vm.injected;
+  obs.vm_cycles = vm.cycles;
+  std::vector<std::uint32_t> product;
+  if (vm.outcome == RunOutcome::kCrashed) {
+    obs.integrity = vm.fault_kind == armvm::FaultKind::kMemoryIntegrity;
+  } else {
+    try {
+      product = mem.read_words(armvm::kRamBase + product_off_, product_words_);
+    } catch (const armvm::MemoryIntegrityFault&) {
+      // The product word itself is rotten: detected at readout.
+      obs.integrity = true;
+    }
+  }
+  // Read after the product: a readout that decodes a correctable word
+  // counts a correction too.
+  obs.hw_corrections = mem.corrections();
+  obs.scrub_corrections = mem.scrub_corrections();
+  if (product.empty()) throw CrashSignal{};
+  return product;
+}
+
+RunObservation GoldenKp::observe(std::uint64_t target,
+                                 const armvm::MemModelConfig& model,
+                                 const KernelRun& run_kernel) const {
   RunObservation obs;
   bool fired = false;
-  ecp::PrimeCurveOps ops(*pcurve_);
-  ops.set_mul_tamper([&](std::uint64_t idx, const UInt& a, const UInt& b,
-                         UInt& out) {
-    if (fired || idx != target) return;
-    fired = true;
-    armvm::Memory mem(kKernelRamSize);
-    workloads::load_prime_modulus(mem, ref);
-    write_uint(mem, asmkernels::kXOff, a, n);
-    write_uint(mem, asmkernels::kYOff, b, n);
-    const InjectedRun vm =
-        run_with_fault(mul_prog_, mem, spec, kKernelBudget, engine_);
-    obs.vm_injected = vm.injected;
-    obs.vm_cycles = vm.cycles;
-    if (vm.outcome == RunOutcome::kCrashed) throw CrashSignal{};
-    // The splice boundary reduces the (possibly faulted) raw kernel
-    // output into [0, p): the host Montgomery oracle's add/sub assume
-    // reduced operands, and a fault that escapes the field is still a
-    // wrong in-field value afterwards.
-    out = read_uint(mem, asmkernels::kOutOff, n) % pcurve_->p;
-  });
   try {
-    const ecp::AffinePointP q = ecp::mul_wnaf_p(ops, pp_, k_, 4);
-    obs.inf = q.inf;
-    obs.oncurve = q.inf ? true : ops.on_curve(q);
-    obs.wrong = !ops.eq(q, pgolden_);
-    if (obs.wrong && obs.oncurve && !obs.inf) {
-      // Doubling-based order check, as on the binary side.
-      obs.order_ok = ecp::mul_wnaf_p(ops, q, pcurve_->order, 4).inf;
+    if (prime()) {
+      ecp::PrimeCurveOps ops(*pcurve_);
+      ops.set_mul_tamper([&](std::uint64_t idx, const UInt& a, const UInt& b,
+                             UInt& out) {
+        if (fired || idx != target) return;
+        fired = true;
+        // The splice boundary reduces the (possibly faulted) raw kernel
+        // output into [0, p): the host Montgomery oracle's add/sub
+        // assume reduced operands, and a fault that escapes the field
+        // is still a wrong in-field value afterwards.
+        out = UInt(run_spliced(limbs(a), limbs(b), model, run_kernel, obs)) %
+              pcurve_->p;
+      });
+      const ecp::AffinePointP q = ecp::mul_wnaf_p(ops, pp_, k_, 4);
+      obs.inf = q.inf;
+      obs.oncurve = q.inf ? true : ops.on_curve(q);
+      obs.wrong = !ops.eq(q, pgolden_);
+      if (obs.wrong && obs.oncurve && !obs.inf) {
+        // Doubling-based order check, as on the binary side.
+        obs.order_ok = ecp::mul_wnaf_p(ops, q, pcurve_->order, 4).inf;
+      }
+    } else {
+      CurveOps ops(curve_);
+      ops.set_mul_tamper([&](std::uint64_t idx, const gf2::Elem& a,
+                             const gf2::Elem& b, gf2::Elem& out) {
+        if (fired || idx != target) return;
+        fired = true;
+        const std::vector<std::uint32_t> product =
+            run_spliced(fe_words(a), fe_words(b), model, run_kernel, obs);
+        out = {};
+        std::copy(product.begin(), product.end(), out.begin());
+      });
+      const ec::WtnafTable t = ec::make_wtnaf_table(ops, p_, 4, &obs.collapsed);
+      const ec::LDPoint q_ld = ec::mul_wtnaf_ld(ops, t, k_, &obs.collapsed);
+      obs.inf = q_ld.is_inf();
+      obs.oncurve = ops.on_curve_ld(q_ld);
+      const AffinePoint q = ops.to_affine(q_ld);
+      obs.wrong = !(q == golden_);
+      if (obs.wrong && obs.oncurve && !obs.inf) {
+        // Lazy: the order check only matters for the rare faults that
+        // land back on the curve. Doubling-based on purpose — the
+        // tau-adic expansion of n is all zeros, so mul_wtnaf(Q, n) would
+        // pass everything (see protect.cpp).
+        obs.order_ok =
+            ec::mul_wnaf(ops, q, curve_.order, 4) == AffinePoint::infinity();
+      }
     }
   } catch (const CrashSignal&) {
-    obs.crashed = true;
+    obs.crashed = !obs.integrity;
   }
   return obs;
 }
 
-ModelResult KpFaultCampaign::run_model(FaultModel model, std::uint64_t runs,
-                                       unsigned threads) {
-  ModelResult res;
-  res.model = model;
-  res.runs = runs;
-  sim::BatchExecutor pool(threads);
-  pool.set_metrics(metrics_);
-  telemetry::ProgressMeter* progress = progress_;
-  const std::vector<RunObservation> observations =
-      pool.map<RunObservation>(runs, [&](std::size_t run) {
-        RunObservation obs = evaluate_run(model, static_cast<std::uint64_t>(run));
-        if (progress != nullptr) progress->tick();
-        return obs;
-      });
-
-  // Tally serially in run order, so the result is byte-for-byte the
-  // same whatever the worker count.
-  const auto& profiles = protection_profiles();
-  for (const RunObservation& obs : observations) {
-    if (obs.vm_injected) ++res.injected;
-    for (unsigned p = 0; p < kNumProfiles; ++p) {
-      const ec::ProtectOpts& o = profiles[p].opts;
-      Outcome outcome;
-      if (obs.crashed) {
-        outcome = Outcome::kCrashed;
-      } else if (!obs.wrong) {
-        outcome = Outcome::kCorrect;
-      } else {
-        bool detected = false;
-        if (o.recheck_result) {
-          // The protected path refuses an off-curve result, an
-          // impossible identity (kP = inf with validated 0 < k < n), and
-          // a mid-loop identity collapse (whose rebuilt endpoint is a
-          // valid wrong point the two end checks cannot see).
-          detected = obs.inf || !obs.oncurve || obs.collapsed;
-        }
-        if (!detected && o.order_check && obs.oncurve && !obs.inf) {
-          detected = !obs.order_ok;
-        }
-        outcome = detected ? Outcome::kDetected : Outcome::kSilentWrong;
-      }
-      res.per_profile[p].add(outcome);
-    }
-  }
-
-  if (metrics_ != nullptr) {
-    // Recorded here, in serial run order, from deterministic per-run
-    // observations — so the snapshot is the same for any thread count.
-    const std::string prefix =
-        std::string("campaign.kp.") + fault_model_name(model) + ".";
-    metrics_->counter(prefix + "runs").add(runs);
-    metrics_->counter(prefix + "injected").add(res.injected);
-    const auto& names = protection_profiles();
-    for (unsigned p = 0; p < kNumProfiles; ++p) {
-      const std::string pp = prefix + names[p].name + ".";
-      const OutcomeTally& t = res.per_profile[p];
-      metrics_->counter(pp + "correct").add(t.correct);
-      metrics_->counter(pp + "detected").add(t.detected);
-      metrics_->counter(pp + "crashed").add(t.crashed);
-      metrics_->counter(pp + "silent-wrong").add(t.silent);
-    }
-    telemetry::Histogram cycles;
-    for (const RunObservation& obs : observations) cycles.record(obs.vm_cycles);
-    metrics_->merge_histogram("campaign.kp.vm_cycles",
-                              telemetry::Unit::kCycles, cycles);
-  }
-  return res;
-}
-
-std::array<ProfileCost, kNumProfiles> KpFaultCampaign::profile_costs(
-    const ec::FieldCostTable& prices) {
+std::array<ProfileCost, kNumProfiles> GoldenKp::profile_costs(
+    const ec::FieldCostTable& prices) const {
   std::array<ProfileCost, kNumProfiles> out;
   const auto& profiles = protection_profiles();
   for (unsigned p = 0; p < kNumProfiles; ++p) {
-    if (prime_) {
+    if (prime()) {
       // Prime-side equivalent of ec::scalarmul_protected's clean run:
       // the same checks, counted through PrimeCurveOps.
       ecp::PrimeCurveOps ops(*pcurve_);
@@ -455,238 +403,140 @@ std::array<ProfileCost, kNumProfiles> KpFaultCampaign::profile_costs(
   return out;
 }
 
-// ---- Memory-reliability campaign -------------------------------------
-
-const char* mem_outcome_name(MemOutcome o) {
-  switch (o) {
-    case MemOutcome::kCorrect: return "correct";
-    case MemOutcome::kCorrected: return "corrected";
-    case MemOutcome::kDetected: return "detected";
-    case MemOutcome::kCrashed: return "crashed";
-    case MemOutcome::kSilentWrong: return "silent-wrong";
-  }
-  return "unknown-outcome";
-}
-
-void MemOutcomeTally::add(MemOutcome o) {
-  switch (o) {
-    case MemOutcome::kCorrect: ++correct; break;
-    case MemOutcome::kCorrected: ++corrected; break;
-    case MemOutcome::kDetected: ++detected; break;
-    case MemOutcome::kCrashed: ++crashed; break;
-    case MemOutcome::kSilentWrong: ++silent; break;
-  }
-}
-
-MemFaultCampaign::MemFaultCampaign(std::uint64_t seed,
-                                   armvm::Cpu::DecodeMode engine,
-                                   const std::string& curve)
+KpFaultCampaign::KpFaultCampaign(std::uint64_t seed,
+                                 armvm::Cpu::DecodeMode engine,
+                                 const std::string& curve)
     : seed_(seed),
       engine_(engine),
-      curve_(ec::BinaryCurve::sect233k1()) {
-  const workloads::CurveRef& ref = workloads::curve_from_name(curve);
-  prime_ = !ref.binary_field;
-  if (!prime_ && ref.name != "sect233k1") {
-    throw std::invalid_argument(
-        "MemFaultCampaign: unsupported binary curve '" + ref.name + "'");
-  }
-  if (prime_) {
-    pcurve_ = &workloads::prime_curve(ref);
-    mul_prog_ = workloads::kernel(ref.kernel_tag + "-mont");
-    GoldenKpP golden = derive_golden_p(*pcurve_, seed);
-    pp_ = golden.p;
-    k_ = golden.k;
-    pgolden_ = golden.golden;
-    muls_per_kp_ = golden.muls_per_kp;
-    return;
-  }
-  mul_prog_ = workloads::kernel("mul");
-  GoldenKp golden = derive_golden(curve_, seed);
-  p_ = golden.p;
-  k_ = golden.k;
-  golden_ = golden.golden;
-  muls_per_kp_ = golden.muls_per_kp;
+      golden_(std::make_unique<const GoldenKp>(curve, seed)) {
+  // Clean kernel retirement count on P's coordinates: the injection
+  // window for specs. The gf2 kernel is straight-line, so the count is
+  // operand-independent; the Montgomery loop's carry propagation is
+  // mildly data-dependent, but the window only needs a representative
+  // bound — indices past the actual retirement simply never fire
+  // (counted in `injected`).
+  kernel_retires_ =
+      golden_->clean_call(armvm::MemModelConfig::raw(), engine_).instructions;
 }
 
-MemFaultCampaign::RunObservation MemFaultCampaign::evaluate_run(
-    const armvm::MemModelConfig& config, unsigned cell, double ber,
-    std::uint64_t run) const {
-  if (prime_) return evaluate_run_p(config, cell, ber, run);
-  // Per-run stream: child `run` of the per-cell stream, a pure function
-  // of (seed, model kind, cell index, run index) — same scheme as
-  // KpFaultCampaign, so any thread can evaluate any run.
-  const Rng cell_stream(
-      seed_ ^ (0x9E3779B97F4A7C15ull *
-               ((static_cast<std::uint64_t>(config.kind) + 2) * 64 + cell)));
-  Rng rng = cell_stream.split(run);
-  const std::uint64_t target = rng.next_below(muls_per_kp_);
+KpFaultCampaign::~KpFaultCampaign() = default;
 
-  RunObservation obs;
-  bool fired = false;
-  CurveOps ops(curve_);
-  ops.set_mul_tamper([&](std::uint64_t idx, const gf2::Elem& a,
-                         const gf2::Elem& b, gf2::Elem& out) {
-    if (fired || idx != target) return;
-    fired = true;
-    armvm::Memory mem(kKernelRamSize, config);
-    write_fe(mem, asmkernels::kXOff, to_fe(a));
-    write_fe(mem, asmkernels::kYOff, to_fe(b));
-    // Load-time injection: the storage is corrupted before the core
-    // runs, so every engine sees the same image (and the raw model's
-    // flips land directly in the operands the kernel will read).
-    const BitErrorStats errs = inject_bit_errors(mem, ber, rng);
-    obs.flipped = errs.flipped_bits;
-    const auto harvest = [&] {
-      obs.hw_corrections = mem.corrections();
-      obs.scrub_corrections = mem.scrub_corrections();
-    };
-    FaultSpec never;
-    never.index = ~std::uint64_t{0};
-    const InjectedRun vm =
-        run_with_fault(mul_prog_, mem, never, kKernelBudget, engine_);
-    obs.vm_cycles = vm.cycles;
-    if (vm.outcome == RunOutcome::kCrashed) {
-      harvest();
-      obs.integrity = vm.fault_kind == armvm::FaultKind::kMemoryIntegrity;
-      throw CrashSignal{};
+ModelResult KpFaultCampaign::run_model(FaultModel model, std::uint64_t runs,
+                                       unsigned threads) {
+  ModelResult res;
+  res.model = model;
+  res.runs = runs;
+  sim::BatchExecutor pool(threads);
+  pool.set_metrics(metrics_);
+  // Per-run stream: child `run` of the per-model stream. A pure function
+  // of (seed, model, run), so any thread can evaluate any run and the
+  // campaign is independent of scheduling order.
+  const Rng model_stream(seed_ ^ (0x9E3779B97F4A7C15ull *
+                                  (static_cast<std::uint64_t>(model) + 2)));
+  const GoldenKp& golden = *golden_;
+  const std::vector<RunObservation> observations =
+      pool.map<RunObservation>(runs, [&](std::uint64_t run) {
+        Rng rng = model_stream.split(run);
+        const std::uint64_t target = rng.next_below(golden.muls_per_kp());
+        const FaultSpec spec =
+            sample_spec(rng, model, kernel_retires_, golden.data_words());
+        const RunObservation obs = golden.observe(
+            target, armvm::MemModelConfig::raw(), [&](armvm::Memory& mem) {
+              return run_with_fault(golden.kernel(), mem, spec,
+                                    kKernelBudget, engine_);
+            });
+        if (progress_ != nullptr) progress_->tick();
+        return obs;
+      });
+
+  // Tally serially in run order, so the result is byte-for-byte the
+  // same whatever the worker count.
+  const auto& profiles = protection_profiles();
+  for (const RunObservation& obs : observations) {
+    if (obs.vm_injected) ++res.injected;
+    for (unsigned p = 0; p < kNumProfiles; ++p) {
+      Outcome outcome;
+      if (obs.crashed) {
+        outcome = Outcome::kCrashed;
+      } else if (!obs.wrong) {
+        outcome = Outcome::kCorrect;
+      } else {
+        outcome = refuses(profiles[p].opts, obs) ? Outcome::kDetected
+                                                 : Outcome::kSilentWrong;
+      }
+      res.per_profile[p].add(outcome);
     }
-    gf2::k233::Fe fe{};
-    try {
-      const auto words =
-          mem.read_words(armvm::kRamBase + asmkernels::kVOff, 8);
-      for (std::size_t i = 0; i < fe.size(); ++i) fe[i] = words[i];
-    } catch (const armvm::MemoryIntegrityFault&) {
-      // The product word itself is rotten: detected at readout.
-      harvest();
-      obs.integrity = true;
-      throw CrashSignal{};
-    }
-    harvest();
-    out = from_fe(fe);
-  });
-  try {
-    const ec::WtnafTable t = ec::make_wtnaf_table(ops, p_, 4, &obs.collapsed);
-    const ec::LDPoint q_ld = ec::mul_wtnaf_ld(ops, t, k_, &obs.collapsed);
-    obs.inf = q_ld.is_inf();
-    obs.oncurve = ops.on_curve_ld(q_ld);
-    const AffinePoint q = ops.to_affine(q_ld);
-    obs.wrong = !(q == golden_);
-    if (obs.wrong && obs.oncurve && !obs.inf) {
-      obs.order_ok =
-          ec::mul_wnaf(ops, q, curve_.order, 4) == AffinePoint::infinity();
-    }
-  } catch (const CrashSignal&) {
-    obs.crashed = !obs.integrity;
   }
-  return obs;
+
+  if (metrics_ != nullptr) {
+    // Recorded here, in serial run order, from deterministic per-run
+    // observations — so the snapshot is the same for any thread count.
+    const std::string prefix =
+        std::string("campaign.kp.") + fault_model_name(model) + ".";
+    metrics_->counter(prefix + "runs").add(runs);
+    metrics_->counter(prefix + "injected").add(res.injected);
+    for (unsigned p = 0; p < kNumProfiles; ++p) {
+      const std::string pp = prefix + profiles[p].name + ".";
+      const OutcomeTally& t = res.per_profile[p];
+      metrics_->counter(pp + "correct").add(t.correct);
+      metrics_->counter(pp + "detected").add(t.detected);
+      metrics_->counter(pp + "crashed").add(t.crashed);
+      metrics_->counter(pp + "silent-wrong").add(t.silent);
+    }
+    record_vm_cycles(*metrics_, "campaign.kp.vm_cycles", observations);
+  }
+  return res;
 }
 
-MemFaultCampaign::RunObservation MemFaultCampaign::evaluate_run_p(
-    const armvm::MemModelConfig& config, unsigned cell, double ber,
-    std::uint64_t run) const {
-  // Same stream discipline as the binary path.
-  const Rng cell_stream(
-      seed_ ^ (0x9E3779B97F4A7C15ull *
-               ((static_cast<std::uint64_t>(config.kind) + 2) * 64 + cell)));
-  Rng rng = cell_stream.split(run);
-  const std::uint64_t target = rng.next_below(muls_per_kp_);
-
-  const workloads::CurveRef& ref = workloads::curve_from_name(pcurve_->name);
-  const std::size_t n = ref.limbs;
-  RunObservation obs;
-  bool fired = false;
-  ecp::PrimeCurveOps ops(*pcurve_);
-  ops.set_mul_tamper([&](std::uint64_t idx, const UInt& a, const UInt& b,
-                         UInt& out) {
-    if (fired || idx != target) return;
-    fired = true;
-    armvm::Memory mem(kKernelRamSize, config);
-    workloads::load_prime_modulus(mem, ref);
-    write_uint(mem, asmkernels::kXOff, a, n);
-    write_uint(mem, asmkernels::kYOff, b, n);
-    const BitErrorStats errs = inject_bit_errors(mem, ber, rng);
-    obs.flipped = errs.flipped_bits;
-    const auto harvest = [&] {
-      obs.hw_corrections = mem.corrections();
-      obs.scrub_corrections = mem.scrub_corrections();
-    };
-    FaultSpec never;
-    never.index = ~std::uint64_t{0};
-    const InjectedRun vm =
-        run_with_fault(mul_prog_, mem, never, kKernelBudget, engine_);
-    obs.vm_cycles = vm.cycles;
-    if (vm.outcome == RunOutcome::kCrashed) {
-      harvest();
-      obs.integrity = vm.fault_kind == armvm::FaultKind::kMemoryIntegrity;
-      throw CrashSignal{};
-    }
-    UInt got;
-    try {
-      got = read_uint(mem, asmkernels::kOutOff, n);
-    } catch (const armvm::MemoryIntegrityFault&) {
-      // The result word itself is rotten: detected at readout.
-      harvest();
-      obs.integrity = true;
-      throw CrashSignal{};
-    }
-    harvest();
-    // Reduce at the splice boundary (see KpFaultCampaign::evaluate_run_p).
-    out = got % pcurve_->p;
-  });
-  try {
-    const ecp::AffinePointP q = ecp::mul_wnaf_p(ops, pp_, k_, 4);
-    obs.inf = q.inf;
-    obs.oncurve = q.inf ? true : ops.on_curve(q);
-    obs.wrong = !ops.eq(q, pgolden_);
-    if (obs.wrong && obs.oncurve && !obs.inf) {
-      obs.order_ok = ecp::mul_wnaf_p(ops, q, pcurve_->order, 4).inf;
-    }
-  } catch (const CrashSignal&) {
-    obs.crashed = !obs.integrity;
-  }
-  return obs;
+std::array<ProfileCost, kNumProfiles> KpFaultCampaign::profile_costs(
+    const ec::FieldCostTable& prices) const {
+  return golden_->profile_costs(prices);
 }
 
-MemModelReport MemFaultCampaign::run_model(const armvm::MemModelConfig& config,
-                                           const std::vector<double>& bers,
-                                           std::uint64_t runs_per_cell,
-                                           unsigned threads) {
+namespace {
+
+/// Sweep every BER of `cfg` under one memory model, `runs_per_cell`
+/// bit-error-injected kP runs per cell.
+MemModelReport sweep_mem_model(const GoldenKp& golden,
+                               const MemCampaignConfig& cfg,
+                               const armvm::MemModelConfig& model) {
   MemModelReport rep;
-  rep.config = config;
+  rep.config = model;
 
   // Clean-run cost of one mul kernel call under this model: the
   // codeword scheme's cycle/energy overhead with no errors injected.
-  {
-    armvm::Memory mem(kKernelRamSize, config);
-    if (prime_) {
-      const workloads::CurveRef& ref =
-          workloads::curve_from_name(pcurve_->name);
-      workloads::load_prime_modulus(mem, ref);
-      write_uint(mem, asmkernels::kXOff, pp_.x, ref.limbs);
-      write_uint(mem, asmkernels::kYOff, pp_.y, ref.limbs);
-    } else {
-      write_fe(mem, asmkernels::kXOff, to_fe(p_.x));
-      write_fe(mem, asmkernels::kYOff, to_fe(p_.y));
-    }
-    armvm::Cpu cpu(mul_prog_, mem, engine_);
-    const armvm::RunStats st =
-        cpu.call(mul_prog_->entry("entry"), {}, kKernelBudget);
-    rep.clean_cycles = st.cycles;
-    rep.clean_energy_pj = st.energy().energy_pj;
-  }
+  const armvm::RunStats clean = golden.clean_call(model, cfg.engine);
+  rep.clean_cycles = clean.cycles;
+  rep.clean_energy_pj = clean.energy().energy_pj;
 
-  sim::BatchExecutor pool(threads);
-  pool.set_metrics(metrics_);
-  telemetry::ProgressMeter* progress = progress_;
+  sim::BatchExecutor pool(cfg.threads);
+  pool.set_metrics(cfg.metrics);
   const auto& profiles = protection_profiles();
-  for (unsigned c = 0; c < bers.size(); ++c) {
+  for (unsigned c = 0; c < cfg.bers.size(); ++c) {
     MemCell cell;
-    cell.ber = bers[c];
+    cell.ber = cfg.bers[c];
+    // Per-run stream: child `run` of the per-cell stream, a pure
+    // function of (seed, model kind, cell index, run index).
+    const Rng cell_stream(
+        cfg.seed ^ (0x9E3779B97F4A7C15ull *
+                    ((static_cast<std::uint64_t>(model.kind) + 2) * 64 + c)));
     const std::vector<RunObservation> observations =
-        pool.map<RunObservation>(runs_per_cell, [&](std::size_t run) {
-          RunObservation obs = evaluate_run(config, c, cell.ber,
-                                            static_cast<std::uint64_t>(run));
-          if (progress != nullptr) progress->tick();
+        pool.map<RunObservation>(cfg.runs_per_cell, [&](std::uint64_t run) {
+          Rng rng = cell_stream.split(run);
+          const std::uint64_t target = rng.next_below(golden.muls_per_kp());
+          std::uint64_t flipped = 0;
+          RunObservation obs =
+              golden.observe(target, model, [&](armvm::Memory& mem) {
+                // Load-time injection: the storage is corrupted before
+                // the core runs, so every engine sees the same image
+                // (and the raw model's flips land directly in the
+                // operands the kernel will read).
+                flipped = inject_bit_errors(mem, cell.ber, rng).flipped_bits;
+                return run_with_fault(golden.kernel(), mem, kNoFault,
+                                      kKernelBudget, cfg.engine);
+              });
+          obs.flipped = flipped;
+          if (cfg.progress != nullptr) cfg.progress->tick();
           return obs;
         });
     // Tally serially in run order — byte-identical for any worker count.
@@ -696,7 +546,6 @@ MemModelReport MemFaultCampaign::run_model(const armvm::MemModelConfig& config,
       cell.scrub_corrections += obs.scrub_corrections;
       const bool repaired = obs.hw_corrections + obs.scrub_corrections > 0;
       for (unsigned p = 0; p < kNumProfiles; ++p) {
-        const ec::ProtectOpts& o = profiles[p].opts;
         MemOutcome outcome;
         if (obs.integrity) {
           // The memory system refused the data — detection regardless
@@ -707,63 +556,50 @@ MemModelReport MemFaultCampaign::run_model(const armvm::MemModelConfig& config,
         } else if (!obs.wrong) {
           outcome = repaired ? MemOutcome::kCorrected : MemOutcome::kCorrect;
         } else {
-          bool detected = false;
-          if (o.recheck_result) {
-            detected = obs.inf || !obs.oncurve || obs.collapsed;
-          }
-          if (!detected && o.order_check && obs.oncurve && !obs.inf) {
-            detected = !obs.order_ok;
-          }
-          outcome = detected ? MemOutcome::kDetected : MemOutcome::kSilentWrong;
+          outcome = refuses(profiles[p].opts, obs) ? MemOutcome::kDetected
+                                                   : MemOutcome::kSilentWrong;
         }
         cell.per_profile[p].add(outcome);
       }
     }
-    if (metrics_ != nullptr) {
+    if (cfg.metrics != nullptr) {
       // Serial run-order tally of deterministic observations — summed
       // across cells, so one counter set per (model, profile, outcome).
+      telemetry::MetricsRegistry& metrics = *cfg.metrics;
       const std::string prefix =
-          std::string("campaign.mem.") + armvm::mem_model_name(config.kind) +
+          std::string("campaign.mem.") + armvm::mem_model_name(model.kind) +
           ".";
-      metrics_->counter(prefix + "runs").add(runs_per_cell);
-      metrics_->counter(prefix + "flipped_bits").add(cell.flipped_bits);
-      metrics_->counter(prefix + "hw_corrections").add(cell.hw_corrections);
-      metrics_->counter(prefix + "scrub_corrections")
-          .add(cell.scrub_corrections);
+      metrics.counter(prefix + "runs").add(cfg.runs_per_cell);
+      metrics.counter(prefix + "flipped_bits").add(cell.flipped_bits);
+      metrics.counter(prefix + "hw_corrections").add(cell.hw_corrections);
+      metrics.counter(prefix + "scrub_corrections").add(cell.scrub_corrections);
       for (unsigned p = 0; p < kNumProfiles; ++p) {
         const std::string pp = prefix + profiles[p].name + ".";
         const MemOutcomeTally& t = cell.per_profile[p];
-        metrics_->counter(pp + "correct").add(t.correct);
-        metrics_->counter(pp + "corrected").add(t.corrected);
-        metrics_->counter(pp + "detected").add(t.detected);
-        metrics_->counter(pp + "crashed").add(t.crashed);
-        metrics_->counter(pp + "silent-wrong").add(t.silent);
+        metrics.counter(pp + "correct").add(t.correct);
+        metrics.counter(pp + "corrected").add(t.corrected);
+        metrics.counter(pp + "detected").add(t.detected);
+        metrics.counter(pp + "crashed").add(t.crashed);
+        metrics.counter(pp + "silent-wrong").add(t.silent);
       }
-      telemetry::Histogram cycles;
-      for (const RunObservation& obs : observations) {
-        cycles.record(obs.vm_cycles);
-      }
-      metrics_->merge_histogram("campaign.mem.vm_cycles",
-                                telemetry::Unit::kCycles, cycles);
+      record_vm_cycles(metrics, "campaign.mem.vm_cycles", observations);
     }
     rep.cells.push_back(cell);
   }
   return rep;
 }
 
+}  // namespace
+
 MemCampaignResult run_mem_campaign(const MemCampaignConfig& config) {
   MemCampaignResult res;
   res.config = config;
-  MemFaultCampaign campaign(config.seed, config.engine, config.curve);
-  campaign.set_metrics(config.metrics);
-  campaign.set_progress(config.progress);
+  const GoldenKp golden(config.curve, config.seed);
   for (armvm::MemModelKind kind : config.models) {
     const armvm::MemModelConfig mc = armvm::MemModelConfig::for_kind(
         kind,
         kind == armvm::MemModelKind::kSecded ? config.scrub_interval : 0);
-    res.models.push_back(
-        campaign.run_model(mc, config.bers, config.runs_per_cell,
-                           config.threads));
+    res.models.push_back(sweep_mem_model(golden, config, mc));
   }
   return res;
 }

@@ -20,13 +20,13 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "armvm/memmodel.h"
 #include "ec/costing.h"
 #include "ec/protect.h"
-#include "ecp/ops.h"
 #include "faultsim/inject.h"
 
 namespace eccm0::telemetry {
@@ -43,7 +43,6 @@ enum class Outcome : std::uint8_t {
   kCrashed,     ///< the core raised a typed armvm::Fault (or watchdog)
   kSilentWrong, ///< wrong result released with no indication — the loss
 };
-const char* outcome_name(Outcome o);
 
 struct OutcomeTally {
   std::uint64_t correct = 0;
@@ -112,12 +111,20 @@ struct CampaignResult {
   std::array<ProfileCost, kNumProfiles> costs;
 };
 
+/// The seed-derived spliced-kP experiment shared by both campaigns
+/// (defined in campaign.cpp): (P, k), the golden kP and the VM
+/// multiplier that stands in for one of its field multiplications.
+class GoldenKp;
+
 class KpFaultCampaign {
  public:
+  /// Derives the golden experiment for `curve` and counts the
+  /// retirements of one clean kernel call (the FaultSpec window).
   explicit KpFaultCampaign(
       std::uint64_t seed,
       armvm::Cpu::DecodeMode engine = armvm::Cpu::DecodeMode::kPredecode,
       const std::string& curve = "sect233k1");
+  ~KpFaultCampaign();
 
   /// Inject `runs` seeded faults of `model`, one per kP computation,
   /// fanned across `threads` workers (1 = serial; 0 = hardware
@@ -127,51 +134,17 @@ class KpFaultCampaign {
 
   /// Clean-run field-op counts of each profile priced with `prices`.
   std::array<ProfileCost, kNumProfiles> profile_costs(
-      const ec::FieldCostTable& prices);
-
-  const ec::AffinePoint& golden() const { return golden_; }
+      const ec::FieldCostTable& prices) const;
 
   /// Optional telemetry hookup (see CampaignConfig::metrics/progress).
   void set_metrics(telemetry::MetricsRegistry* m) { metrics_ = m; }
   void set_progress(telemetry::ProgressMeter* p) { progress_ = p; }
 
  private:
-  /// Everything one injected kP run observes; enough to classify it
-  /// under every countermeasure profile.
-  struct RunObservation {
-    bool crashed = false;
-    bool vm_injected = false;
-    bool wrong = false;
-    bool inf = false;
-    bool oncurve = true;
-    bool order_ok = true;
-    bool collapsed = false;
-    /// Simulated cycles of the injected VM kernel run (captured even
-    /// when it crashed) — deterministic, unlike wall time, so it can
-    /// feed a manifest histogram.
-    std::uint64_t vm_cycles = 0;
-  };
-  /// Evaluate one injection. Pure function of (seed, model, run) over
-  /// the campaign's immutable state — safe to call from any thread.
-  RunObservation evaluate_run(FaultModel model, std::uint64_t run) const;
-  /// Prime-curve variant of evaluate_run (the kernel splice goes
-  /// through ecp::PrimeCurveOps::set_mul_tamper instead).
-  RunObservation evaluate_run_p(FaultModel model, std::uint64_t run) const;
-
   std::uint64_t seed_;
   armvm::Cpu::DecodeMode engine_;
-  bool prime_ = false;
-  const ec::BinaryCurve& curve_;
-  ec::AffinePoint p_;
-  mpint::UInt k_;
-  ec::AffinePoint golden_;
-  const ecp::PrimeCurve* pcurve_ = nullptr;  ///< set when prime_
-  ecp::AffinePointP pp_;
-  ecp::AffinePointP pgolden_;
-  armvm::ProgramRef mul_prog_;      ///< LD mul (gf2) or Montgomery mul
-  std::uint32_t data_words_ = 0;    ///< RAM-flip target region, in words
-  std::uint64_t kernel_retires_;    ///< instruction count of a clean mul
-  std::uint64_t muls_per_kp_;       ///< fmul invocations in one clean kP
+  std::unique_ptr<const GoldenKp> golden_;
+  std::uint64_t kernel_retires_ = 0;  ///< instruction count of a clean mul
   telemetry::MetricsRegistry* metrics_ = nullptr;
   telemetry::ProgressMeter* progress_ = nullptr;
 };
@@ -200,7 +173,6 @@ enum class MemOutcome : std::uint8_t {
   kCrashed,      ///< non-integrity armvm::Fault / watchdog
   kSilentWrong,  ///< wrong result released with no indication — the loss
 };
-const char* mem_outcome_name(MemOutcome o);
 
 struct MemOutcomeTally {
   std::uint64_t correct = 0;
@@ -266,67 +238,6 @@ struct MemCampaignConfig {
 struct MemCampaignResult {
   MemCampaignConfig config;
   std::vector<MemModelReport> models;
-};
-
-class MemFaultCampaign {
- public:
-  explicit MemFaultCampaign(
-      std::uint64_t seed,
-      armvm::Cpu::DecodeMode engine = armvm::Cpu::DecodeMode::kPredecode,
-      const std::string& curve = "sect233k1");
-
-  /// Sweep every BER for one memory model configuration,
-  /// `runs_per_cell` injected kP runs per cell, fanned across `threads`
-  /// workers (1 = serial; 0 = hardware concurrency). Tallies are
-  /// bit-identical regardless of the thread count.
-  MemModelReport run_model(const armvm::MemModelConfig& config,
-                           const std::vector<double>& bers,
-                           std::uint64_t runs_per_cell, unsigned threads = 1);
-
-  const ec::AffinePoint& golden() const { return golden_; }
-
-  /// Optional telemetry hookup (see MemCampaignConfig::metrics/progress).
-  void set_metrics(telemetry::MetricsRegistry* m) { metrics_ = m; }
-  void set_progress(telemetry::ProgressMeter* p) { progress_ = p; }
-
- private:
-  struct RunObservation {
-    bool crashed = false;    ///< non-integrity fault
-    bool integrity = false;  ///< MemoryIntegrityFault (hardware detection)
-    bool wrong = false;
-    bool inf = false;
-    bool oncurve = true;
-    bool order_ok = true;
-    bool collapsed = false;
-    std::uint64_t flipped = 0;
-    std::uint64_t hw_corrections = 0;
-    std::uint64_t scrub_corrections = 0;
-    std::uint64_t vm_cycles = 0;  ///< simulated cycles of the kernel run
-  };
-  /// Pure function of (seed, model kind, cell, run) over the campaign's
-  /// immutable state — safe to call from any thread.
-  RunObservation evaluate_run(const armvm::MemModelConfig& config,
-                              unsigned cell, double ber,
-                              std::uint64_t run) const;
-  /// Prime-curve variant (kernel splice via PrimeCurveOps tamper).
-  RunObservation evaluate_run_p(const armvm::MemModelConfig& config,
-                                unsigned cell, double ber,
-                                std::uint64_t run) const;
-
-  std::uint64_t seed_;
-  armvm::Cpu::DecodeMode engine_;
-  bool prime_ = false;
-  const ec::BinaryCurve& curve_;
-  ec::AffinePoint p_;
-  mpint::UInt k_;
-  ec::AffinePoint golden_;
-  const ecp::PrimeCurve* pcurve_ = nullptr;  ///< set when prime_
-  ecp::AffinePointP pp_;
-  ecp::AffinePointP pgolden_;
-  armvm::ProgramRef mul_prog_;
-  std::uint64_t muls_per_kp_ = 0;
-  telemetry::MetricsRegistry* metrics_ = nullptr;
-  telemetry::ProgressMeter* progress_ = nullptr;
 };
 
 /// Run the whole BER x memory-model x protection-profile matrix.

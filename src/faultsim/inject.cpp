@@ -103,13 +103,13 @@ bool apply_fault(armvm::Cpu& cpu, armvm::Memory& ram,
 
 }  // namespace
 
-/// Shared tail of the replayed and forked paths: `cpu` is already
-/// positioned (at reset, or at a restored checkpoint); step to the
-/// trigger if it is still ahead, apply the fault, run to halt/crash.
-InjectedRun resume_with_fault(armvm::Cpu& cpu, armvm::Memory& ram,
-                              const armvm::Program& prog,
-                              const FaultSpec& spec,
-                              std::uint64_t max_instructions) {
+InjectedRun run_with_fault(const armvm::ProgramRef& prog, armvm::Memory& ram,
+                           const FaultSpec& spec,
+                           std::uint64_t max_instructions,
+                           armvm::Cpu::DecodeMode engine) {
+  armvm::Cpu cpu(prog, ram, engine);
+  cpu.set_reg(armvm::kLR, armvm::kReturnSentinel);
+  cpu.set_reg(armvm::kPC, prog->entry("entry"));
   InjectedRun out;
   std::uint64_t extra_instructions = 0;
   std::uint64_t extra_cycles = 0;
@@ -120,7 +120,7 @@ InjectedRun resume_with_fault(armvm::Cpu& cpu, armvm::Memory& ram,
     }
     if (running) {
       out.injected = true;
-      running = apply_fault(cpu, ram, prog, spec, extra_instructions,
+      running = apply_fault(cpu, ram, *prog, spec, extra_instructions,
                             extra_cycles);
     }
     while (running) {
@@ -143,40 +143,6 @@ InjectedRun resume_with_fault(armvm::Cpu& cpu, armvm::Memory& ram,
   out.instructions = cpu.stats().instructions + extra_instructions;
   out.cycles = cpu.stats().cycles + extra_cycles;
   return out;
-}
-
-InjectedRun run_with_fault(const armvm::ProgramRef& prog, armvm::Memory& ram,
-                           const FaultSpec& spec,
-                           std::uint64_t max_instructions,
-                           armvm::Cpu::DecodeMode engine) {
-  armvm::Cpu cpu(prog, ram, engine);
-  cpu.set_reg(armvm::kLR, armvm::kReturnSentinel);
-  cpu.set_reg(armvm::kPC, prog->entry("entry"));
-  return resume_with_fault(cpu, ram, *prog, spec, max_instructions);
-}
-
-armvm::MachineSnapshot checkpoint_at(const armvm::ProgramRef& prog,
-                                     armvm::Memory& ram, std::uint64_t index,
-                                     armvm::Cpu::DecodeMode engine) {
-  armvm::Cpu cpu(prog, ram, engine);
-  cpu.set_reg(armvm::kLR, armvm::kReturnSentinel);
-  cpu.set_reg(armvm::kPC, prog->entry("entry"));
-  bool running = true;
-  while (running && cpu.stats().instructions < index) {
-    running = cpu.step();
-  }
-  return cpu.snapshot();
-}
-
-InjectedRun run_with_fault_forked(const armvm::ProgramRef& prog,
-                                  armvm::Memory& ram,
-                                  const armvm::MachineSnapshot& at_injection,
-                                  const FaultSpec& spec,
-                                  std::uint64_t max_instructions,
-                                  armvm::Cpu::DecodeMode engine) {
-  armvm::Cpu cpu(prog, ram, engine);
-  cpu.restore(at_injection);
-  return resume_with_fault(cpu, ram, *prog, spec, max_instructions);
 }
 
 }  // namespace eccm0::faultsim

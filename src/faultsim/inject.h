@@ -82,26 +82,4 @@ InjectedRun run_with_fault(
     std::uint64_t max_instructions = 1'000'000,
     armvm::Cpu::DecodeMode engine = armvm::Cpu::DecodeMode::kPredecode);
 
-/// Capture the fault-window checkpoint: a fresh run of `prog` (entry
-/// label "entry") stepped cleanly to retirement index `index` — or to
-/// completion, if the program is shorter — snapshotted there. A clean
-/// program is assumed; architectural faults before the checkpoint
-/// propagate. `ram` holds the program's input image and is consumed by
-/// the stepping.
-armvm::MachineSnapshot checkpoint_at(
-    const armvm::ProgramRef& prog, armvm::Memory& ram, std::uint64_t index,
-    armvm::Cpu::DecodeMode engine = armvm::Cpu::DecodeMode::kPredecode);
-
-/// Fork a checkpointed run: restore `at_injection` (taken by
-/// checkpoint_at at spec.index) into a fresh context over the same
-/// program and continue with `spec` applied — bit-identical outcome,
-/// instruction and cycle counts to run_with_fault replaying from reset,
-/// without re-executing the prefix. This is what lets a campaign that
-/// injects many specs at one index pay the prefix once.
-InjectedRun run_with_fault_forked(
-    const armvm::ProgramRef& prog, armvm::Memory& ram,
-    const armvm::MachineSnapshot& at_injection, const FaultSpec& spec,
-    std::uint64_t max_instructions = 1'000'000,
-    armvm::Cpu::DecodeMode engine = armvm::Cpu::DecodeMode::kPredecode);
-
 }  // namespace eccm0::faultsim
