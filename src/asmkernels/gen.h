@@ -94,8 +94,8 @@ inline constexpr std::uint32_t kPM0Off = 0x720;
 std::string gen_prime_mul(unsigned n);
 
 /// Montgomery multiplication: school-book product into the wide buffer
-/// followed by an in-place word-by-word REDC (mirrors
-/// mpint::Montgomery::redc including the final conditional subtract).
+/// followed by an in-place word-by-word REDC with the final conditional
+/// subtract (the value mpint::Montgomery::mul returns).
 /// x at kXOff, y at kYOff, m/m0inv at kPModOff/kPM0Off, n-word result
 /// (Montgomery domain) at kOutOff. With `square` the y operand is read
 /// from kXOff, giving the squaring kernel.

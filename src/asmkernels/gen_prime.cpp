@@ -4,9 +4,11 @@
 // product goes through a 16x16 decomposition subroutine (mul64). The
 // kernels are looping routines with subroutine calls — the "compiled
 // shape" the paper's selection model assumes for prime fields, in
-// contrast to the unrolled fixed-register gf2 kernels — and they mirror
-// mpint::Montgomery::redc word for word (including the final
-// conditional subtract), so the host library is the bit-exact oracle.
+// contrast to the unrolled fixed-register gf2 kernels — and they run the
+// separated form of word-level Montgomery reduction (full product, then
+// n reduction rows, then the final conditional subtract), which picks
+// the same multiplier as mpint::Montgomery's CIOS pass, so the host
+// library is the bit-exact oracle.
 #include "asmkernels/gen.h"
 
 #include <stdexcept>
@@ -112,8 +114,8 @@ void emit_product(Src& s, unsigned n, std::uint32_t xoff, std::uint32_t yoff) {
   s.l("    blt  pp_outer");
 }
 
-/// Word-by-word Montgomery REDC of the (2n+1)-word t at r8, in place —
-/// a transliteration of mpint::Montgomery::redc. Needs the RAM base in
+/// Word-by-word Montgomery REDC of the (2n+1)-word t at r8, in place
+/// (emit_condsub adds the final subtract). Needs the RAM base in
 /// r12 on entry (consumed: r12 becomes the per-row u). After this,
 /// r9 = &m and the reduced value is t[n..2n] (top word 0 or 1).
 void emit_redc(Src& s, unsigned n) {

@@ -4,7 +4,6 @@
 
 #include "common/rng.h"
 #include "ec/ops.h"
-#include "ec/tnaf.h"
 
 namespace eccm0::ec {
 
@@ -24,6 +23,7 @@ const BinaryCurve& BinaryCurve::sect233k1() {
     k.cofactor = 4;
     k.koblitz = true;
     k.mu = -1;
+    k.delta = tnaf_delta(k.mu, f.m());
     k.name = "sect233k1";
     return k;
   }();
@@ -44,6 +44,7 @@ const BinaryCurve& BinaryCurve::sect163k1() {
     k.cofactor = 2;
     k.koblitz = true;
     k.mu = 1;
+    k.delta = tnaf_delta(k.mu, f.m());
     k.name = "sect163k1";
     return k;
   }();
@@ -87,7 +88,8 @@ BinaryCurve BinaryCurve::derive_koblitz(const gf2::GF2Field& field,
 
   // Order and cofactor from the tau-adic norms — no transcription.
   const TauRing ring(c.mu);
-  c.order = ring.norm(tnaf_delta(c.mu, field.m())).abs();
+  c.delta = tnaf_delta(c.mu, field.m());
+  c.order = ring.norm(c.delta).abs();
   const ZTau tau_minus_1{mpint::SInt{-1}, mpint::SInt{1}};
   c.cofactor =
       static_cast<unsigned>(ring.norm(tau_minus_1).abs().low_u64());

@@ -4,6 +4,7 @@
 
 #include <string>
 
+#include "ec/tnaf.h"
 #include "gf2/field.h"
 #include "mpint/uint.h"
 
@@ -19,6 +20,9 @@ struct BinaryCurve {
   unsigned cofactor;
   bool koblitz;  ///< a in {0,1}, b = 1: Frobenius endomorphism usable
   int mu;        ///< Koblitz only: mu = (-1)^(1-a), so +1 for a=1, -1 for a=0
+  /// Koblitz only: delta = (tau^m - 1)/(tau - 1), the partial-reduction
+  /// modulus (N(delta) = order), computed once with the curve.
+  ZTau delta;
   std::string name;
 
   const gf2::GF2Field& f() const { return *field; }
@@ -37,10 +41,10 @@ struct BinaryCurve {
 
   /// Construct a Koblitz curve (b = 1, a in {0, 1}) over `field` with
   /// domain parameters computed from scratch rather than transcribed:
-  /// the group order is N((tau^m - 1)/(tau - 1)) from the Lucas sequence,
-  /// the cofactor N(tau - 1), and the generator is found by a seeded
-  /// search (decompress the first solvable x, multiply by the cofactor,
-  /// reject the identity). The resulting subgroup is the same
+  /// the group order is N(delta), delta = (tau^m - 1)/(tau - 1) from the
+  /// Lucas sequence, the cofactor N(tau - 1), and the generator is found
+  /// by a seeded search (decompress the first solvable x, multiply by
+  /// the cofactor, reject the identity). The resulting subgroup is the same
   /// prime-order group a standards document would pin a canonical
   /// generator in.
   static BinaryCurve derive_koblitz(const gf2::GF2Field& field, unsigned a,

@@ -95,7 +95,7 @@ WtnafTable make_wtnaf_table(CurveOps& ops, const AffinePoint& p, unsigned w,
   // projective coordinates. One simultaneous inversion normalises the
   // whole table (the paper's "TNAF Precomputation" stays around a single
   // inversion's cost).
-  const auto alphas = alpha_reps(curve.mu, w);
+  const std::vector<ZTau>& alphas = alpha_reps(curve.mu, w);
   const AffinePoint neg_p = ops.neg(p);
   std::vector<LDPoint> proj;
   proj.reserve(alphas.size());

@@ -1,6 +1,10 @@
 #include "ec/tnaf.h"
 
+#include <array>
+#include <mutex>
 #include <stdexcept>
+
+#include "ec/curve.h"
 
 namespace eccm0::ec {
 
@@ -21,18 +25,17 @@ ZTau TauRing::sub(const ZTau& x, const ZTau& y) const {
 
 ZTau TauRing::mul(const ZTau& x, const ZTau& y) const {
   // (a0 + a1 t)(b0 + b1 t) with t^2 = mu t - 2.
-  const SInt mu{mu_};
   const SInt cross = x.a1 * y.a1;
   return {x.a0 * y.a0 - (cross << 1),
-          x.a0 * y.a1 + x.a1 * y.a0 + mu * cross};
+          x.a0 * y.a1 + x.a1 * y.a0 + times_mu(cross)};
 }
 
 ZTau TauRing::conj(const ZTau& x) const {
-  return {x.a0 + SInt{mu_} * x.a1, -x.a1};
+  return {x.a0 + times_mu(x.a1), -x.a1};
 }
 
 SInt TauRing::norm(const ZTau& x) const {
-  return x.a0 * x.a0 + SInt{mu_} * x.a0 * x.a1 + ((x.a1 * x.a1) << 1);
+  return x.a0 * x.a0 + times_mu(x.a0 * x.a1) + ((x.a1 * x.a1) << 1);
 }
 
 SInt TauRing::lucas_u(unsigned i) const {
@@ -40,7 +43,7 @@ SInt TauRing::lucas_u(unsigned i) const {
   SInt u1{1};
   if (i == 0) return u0;
   for (unsigned k = 1; k < i; ++k) {
-    const SInt u2 = SInt{mu_} * u1 - (u0 << 1);
+    const SInt u2 = times_mu(u1) - (u0 << 1);
     u0 = u1;
     u1 = u2;
   }
@@ -56,7 +59,7 @@ ZTau TauRing::tau_pow(unsigned i) const {
 ZTau TauRing::div_tau(const ZTau& x) const {
   if (x.a0.is_odd()) throw std::domain_error("div_tau: not divisible");
   const SInt half = x.a0.half();
-  return {x.a1 + SInt{mu_} * half, -half};
+  return {x.a1 + times_mu(half), -half};
 }
 
 ZTau TauRing::div_exact(const ZTau& x, const ZTau& d) const {
@@ -85,26 +88,27 @@ ZTau TauRing::div_round(const ZTau& x, const ZTau& d) const {
   const SInt e0 = num.a0 - f0 * N;  // eta0 * N, |e0| <= N/2
   const SInt e1 = num.a1 - f1 * N;
   const SInt mu{mu_};
+  const SInt mu_e1 = times_mu(e1);
   SInt h0{0};
   SInt h1{0};
-  const SInt eta = (e0 << 1) + mu * e1;  // (2 eta0 + mu eta1) * N
+  const SInt eta = (e0 << 1) + mu_e1;  // (2 eta0 + mu eta1) * N
   if (eta >= N) {
-    if (e0 - mu * e1 * SInt{3} < -N) {
+    if (e0 - mu_e1 * SInt{3} < -N) {
       h1 = mu;
     } else {
       h0 = SInt{1};
     }
   } else {
-    if (e0 + mu * e1 * SInt{4} >= (N << 1)) h1 = mu;
+    if (e0 + (mu_e1 << 2) >= (N << 1)) h1 = mu;
   }
   if (eta < -N) {
-    if (e0 - mu * e1 * SInt{3} >= N) {
+    if (e0 - mu_e1 * SInt{3} >= N) {
       h1 = -mu;
     } else {
       h0 = SInt{-1};
     }
   } else {
-    if (e0 + mu * e1 * SInt{4} < -(N << 1)) h1 = -mu;
+    if (e0 + (mu_e1 << 2) < -(N << 1)) h1 = -mu;
   }
   return {f0 + h0, f1 + h1};
 }
@@ -120,10 +124,9 @@ ZTau tnaf_delta(int mu, unsigned m) {
 ZTau partmod(const UInt& k, const BinaryCurve& curve) {
   if (!curve.koblitz) throw std::invalid_argument("partmod: not Koblitz");
   const TauRing ring(curve.mu);
-  const ZTau delta = tnaf_delta(curve.mu, curve.f().m());
   const ZTau kz{SInt{k, false}, SInt{0}};
-  const ZTau q = ring.div_round(kz, delta);
-  return ring.sub(kz, ring.mul(q, delta));
+  const ZTau q = ring.div_round(kz, curve.delta);
+  return ring.sub(kz, ring.mul(q, curve.delta));
 }
 
 std::uint32_t tau_mod_2w(int mu, unsigned w) {
@@ -145,25 +148,52 @@ std::uint32_t tau_mod_2w(int mu, unsigned w) {
   return static_cast<std::uint32_t>(t);
 }
 
-std::vector<ZTau> alpha_reps(int mu, unsigned w) {
+namespace {
+
+/// The recoding constants of one window: alpha_u (alpha_reps' layout)
+/// and t_w.
+struct WindowConsts {
+  std::vector<ZTau> alphas;
+  std::int64_t tw = 0;
+};
+
+WindowConsts make_window_consts(int mu, unsigned w) {
   const TauRing ring(mu);
   const ZTau tw = ring.tau_pow(w);
-  std::vector<ZTau> reps;
+  WindowConsts c;
   for (std::uint32_t u = 1; u < (1u << (w - 1)); u += 2) {
     const ZTau uz{SInt{static_cast<std::int64_t>(u)}, SInt{0}};
     const ZTau q = ring.div_round(uz, tw);
-    reps.push_back(ring.sub(uz, ring.mul(q, tw)));
+    c.alphas.push_back(ring.sub(uz, ring.mul(q, tw)));
   }
-  return reps;
+  c.tw = tau_mod_2w(mu, w);
+  return c;
+}
+
+/// The constants of (mu, w), each built once on first use: call_once
+/// publishes them to every thread, and later calls only read.
+const WindowConsts& window_consts(int mu, unsigned w) {
+  if (mu != 1 && mu != -1) throw std::invalid_argument("tnaf: mu != +-1");
+  if (w < 2 || w > 8) throw std::invalid_argument("tnaf: w out of range");
+  constexpr std::size_t kWidths = 7;  // w = 2..8
+  static std::array<std::once_flag, 2 * kWidths> once;
+  static std::array<WindowConsts, 2 * kWidths> table;
+  const std::size_t i = (mu > 0 ? kWidths : 0) + (w - 2);
+  std::call_once(once[i], [&] { table[i] = make_window_consts(mu, w); });
+  return table[i];
+}
+
+}  // namespace
+
+const std::vector<ZTau>& alpha_reps(int mu, unsigned w) {
+  return window_consts(mu, w).alphas;
 }
 
 std::vector<int> wtnaf_digits(const ZTau& rho, int mu, unsigned w) {
-  if (w < 2 || w > 8) {
-    throw std::invalid_argument("wtnaf_digits: w out of range");
-  }
   const TauRing ring(mu);
-  const auto alphas = alpha_reps(mu, w);
-  const std::int64_t tw = tau_mod_2w(mu, w);
+  const WindowConsts& window = window_consts(mu, w);
+  const std::vector<ZTau>& alphas = window.alphas;
+  const std::int64_t tw = window.tw;
   std::vector<int> digits;
   ZTau r = rho;
   while (!r.is_zero()) {
@@ -187,7 +217,7 @@ std::vector<int> wtnaf_digits(const ZTau& rho, int mu, unsigned w) {
 
 ZTau wtnaf_evaluate(const std::vector<int>& digits, int mu, unsigned w) {
   const TauRing ring(mu);
-  const auto alphas = alpha_reps(mu, w);
+  const std::vector<ZTau>& alphas = alpha_reps(mu, w);
   // Horner from the top digit down: acc = acc*tau + digit.
   ZTau acc{SInt{0}, SInt{0}};
   const ZTau tau{SInt{0}, SInt{1}};

@@ -9,16 +9,19 @@
 //     rho = k partmod delta (Solinas / Hankerson Alg 3.61-3.63),
 //   * width-w TNAF digit expansion (Alg 3.69) with the alpha_u = u mods
 //     tau^w representative table computed, not hard-coded.
+// The constants are computed once: delta per Koblitz curve
+// (BinaryCurve::delta), the alpha_u table once per (mu, w).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "ec/curve.h"
 #include "mpint/sint.h"
 #include "mpint/uint.h"
 
 namespace eccm0::ec {
+
+struct BinaryCurve;
 
 /// Element a0 + a1*tau of Z[tau].
 struct ZTau {
@@ -65,15 +68,22 @@ class TauRing {
   ZTau div_round(const ZTau& x, const ZTau& d) const;
 
  private:
+  /// mu * x, as a choice of sign.
+  mpint::SInt times_mu(const mpint::SInt& x) const {
+    return mu_ > 0 ? x : -x;
+  }
+
   int mu_;
 };
 
 /// delta = (tau^m - 1) / (tau - 1). N(delta) equals the prime group order
 /// of the curve (cross-checked in tests against the SEC2 constants).
+/// Each Koblitz curve computes it once, as BinaryCurve::delta.
 ZTau tnaf_delta(int mu, unsigned m);
 
-/// rho = k partmod delta: an element of Z[tau] with rho = k (mod delta)
-/// and N(rho) ~ sqrt(order), so its TNAF has length ~m instead of ~2m.
+/// rho = k partmod curve.delta: an element of Z[tau] with rho = k
+/// (mod delta) and N(rho) ~ sqrt(order), so its TNAF has length ~m
+/// instead of ~2m.
 ZTau partmod(const mpint::UInt& k, const BinaryCurve& curve);
 
 /// t_w: the image of tau in Z_{2^w} (tau = t_w mod tau^w on odd classes);
@@ -81,8 +91,9 @@ ZTau partmod(const mpint::UInt& k, const BinaryCurve& curve);
 std::uint32_t tau_mod_2w(int mu, unsigned w);
 
 /// alpha_u = u mods tau^w for odd u = 1, 3, ..., 2^(w-1) - 1;
-/// returned indexed by (u-1)/2. alpha_1 is always 1.
-std::vector<ZTau> alpha_reps(int mu, unsigned w);
+/// returned indexed by (u-1)/2. alpha_1 is always 1. w must be in
+/// [2, 8]; each (mu, w) table is built once, on first use.
+const std::vector<ZTau>& alpha_reps(int mu, unsigned w);
 
 /// Width-w TNAF digits of rho, little-endian (digit i weights tau^i).
 /// A non-zero digit u (odd, |u| < 2^(w-1)) denotes sign(u) * alpha_|u|;

@@ -143,7 +143,7 @@ AffinePointP mul_naive_p(PrimeCurveOps& ops, const AffinePointP& p,
 }
 
 AffinePointP mul_wnaf_p(PrimeCurveOps& ops, const AffinePointP& p,
-                        const UInt& k, unsigned w) {
+                        const UInt& k, unsigned w, bool* collapsed) {
   std::vector<int> digits;
   mpint::SInt s{k, false};
   while (!s.is_zero()) {
@@ -161,11 +161,26 @@ AffinePointP mul_wnaf_p(PrimeCurveOps& ops, const AffinePointP& p,
     odd.push_back(ops.add(odd.back(), p2));
   }
   JacobianPoint q = JacobianPoint::infinity();
+  // The identity-collapse invariant of the binary wTNAF (scalarmul.cpp):
+  // every partial sum is a nonzero multiple of P below its order, so an
+  // accumulator that has left infinity never meets it again until a
+  // final step (n*P legitimately ends there). Checked as each step
+  // starts; a collapse that is never rebuilt ends at infinity itself.
+  bool left_inf = false;
+  const auto watch = [&] {
+    if (!q.is_inf()) {
+      left_inf = true;
+    } else if (left_inf && collapsed != nullptr) {
+      *collapsed = true;
+    }
+  };
   for (std::size_t i = digits.size(); i-- > 0;) {
+    watch();
     ops.jac_double(q);
     const int u = digits[i];
     if (u != 0) {
       const AffinePointP& pu = odd[static_cast<std::size_t>(std::abs(u)) / 2];
+      watch();
       ops.jac_add_mixed(q, u > 0 ? pu : ops.neg(pu));
     }
   }

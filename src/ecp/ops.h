@@ -115,9 +115,13 @@ class PrimeCurveOps {
 };
 
 /// Width-w NAF scalar multiplication (the doubling-based path a prime
-/// curve requires; no Frobenius shortcut exists).
+/// curve requires; no Frobenius shortcut exists). `collapsed`, when
+/// non-null, is set if the Jacobian accumulator meets infinity again
+/// after having left it, before the last step: a mid-loop identity
+/// collapse, which an honest run with 0 < k < ord(P) never makes.
 AffinePointP mul_wnaf_p(PrimeCurveOps& ops, const AffinePointP& p,
-                        const mpint::UInt& k, unsigned w);
+                        const mpint::UInt& k, unsigned w,
+                        bool* collapsed = nullptr);
 /// Reference oracle: affine double-and-add.
 AffinePointP mul_naive_p(PrimeCurveOps& ops, const AffinePointP& p,
                          const mpint::UInt& k);

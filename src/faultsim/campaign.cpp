@@ -233,11 +233,11 @@ GoldenKp::GoldenKp(const std::string& curve, std::uint64_t seed)
     pp_ = ecp::mul_wnaf_p(ops, ops.generator(),
                           nonzero_below(rng, pcurve_->order), 4);
     k_ = nonzero_below(rng, pcurve_->order);
-    pgolden_ = ecp::mul_wnaf_p(ops, pp_, k_, 4);
-
-    ecp::PrimeCurveOps counting(*pcurve_);
-    (void)ecp::mul_wnaf_p(counting, pp_, k_, 4);
-    muls_per_kp_ = counting.counts().mul;
+    // The golden kP runs on fresh ops, so its multiplication count is
+    // the splice target space.
+    ecp::PrimeCurveOps golden_ops(*pcurve_);
+    pgolden_ = ecp::mul_wnaf_p(golden_ops, pp_, k_, 4);
+    muls_per_kp_ = golden_ops.counts().mul;
     return;
   }
   if (ref_.name != "sect233k1") {
@@ -254,14 +254,14 @@ GoldenKp::GoldenKp(const std::string& curve, std::uint64_t seed)
   p_ = ec::mul_wtnaf(ops, AffinePoint::make(curve_.gx, curve_.gy),
                      nonzero_below(rng, curve_.order), 4);
   k_ = nonzero_below(rng, curve_.order);
-  golden_ = ec::mul_wtnaf(ops, p_, k_, 4);
-
-  // How many fmul calls one clean kP (table build + Horner loop) makes:
-  // the sample space for which multiplication gets the fault.
-  CurveOps counting(curve_);
-  const ec::WtnafTable t = ec::make_wtnaf_table(counting, p_, 4);
-  (void)ec::mul_wtnaf_ld(counting, t, k_);
-  muls_per_kp_ = counting.counts().mul;
+  // The golden kP on fresh ops: the fmul calls of its table build and
+  // Horner loop are the sample space for which multiplication gets the
+  // fault (the final normalisation is outside it).
+  CurveOps golden_ops(curve_);
+  const ec::WtnafTable t = ec::make_wtnaf_table(golden_ops, p_, 4);
+  const ec::LDPoint q = ec::mul_wtnaf_ld(golden_ops, t, k_);
+  muls_per_kp_ = golden_ops.counts().mul;
+  golden_ = golden_ops.to_affine(q);
 }
 
 std::vector<std::uint32_t> GoldenKp::limbs(const UInt& v) const {
@@ -335,7 +335,8 @@ RunObservation GoldenKp::observe(std::uint64_t target,
         out = UInt(run_spliced(limbs(a), limbs(b), model, run_kernel, obs)) %
               pcurve_->p;
       });
-      const ecp::AffinePointP q = ecp::mul_wnaf_p(ops, pp_, k_, 4);
+      const ecp::AffinePointP q =
+          ecp::mul_wnaf_p(ops, pp_, k_, 4, &obs.collapsed);
       obs.inf = q.inf;
       obs.oncurve = q.inf ? true : ops.on_curve(q);
       obs.wrong = !ops.eq(q, pgolden_);

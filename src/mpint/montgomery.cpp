@@ -1,5 +1,6 @@
 #include "mpint/montgomery.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace eccm0::mpint {
@@ -12,6 +13,52 @@ Word neg_inv32(Word m) {
   return static_cast<Word>(0u - x);
 }
 
+/// x < y over n words.
+bool less(const Word* x, const Word* y, std::size_t n) {
+  for (std::size_t i = n; i-- > 0;) {
+    if (x[i] != y[i]) return x[i] < y[i];
+  }
+  return false;
+}
+
+/// x -= y over n words; returns the borrow out.
+Word sub_words(Word* x, const Word* y, std::size_t n) {
+  Word borrow = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const DWord d = static_cast<DWord>(x[i]) - y[i] - borrow;
+    x[i] = static_cast<Word>(d);
+    borrow = static_cast<Word>(d >> 63);
+  }
+  return borrow;
+}
+
+/// x += y over n words; returns the carry out.
+Word add_words(Word* x, const Word* y, std::size_t n) {
+  DWord c = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    c += static_cast<DWord>(x[i]) + y[i];
+    x[i] = static_cast<Word>(c);
+    c >>= 32;
+  }
+  return static_cast<Word>(c);
+}
+
+/// x >>= 1 over n words, shifting `top` in as the new top bit.
+void shr1(Word* x, std::size_t n, Word top = 0) {
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    x[i] = (x[i] >> 1) | (x[i + 1] << 31);
+  }
+  x[n - 1] = (x[n - 1] >> 1) | (top << 31);
+}
+
+bool is_zero(const Word* x, std::size_t n) {
+  return std::all_of(x, x + n, [](Word w) { return w == 0; });
+}
+
+bool is_one(const Word* x, std::size_t n) {
+  return x[0] == 1 && is_zero(x + 1, n - 1);
+}
+
 }  // namespace
 
 Montgomery::Montgomery(UInt modulus) : m_(std::move(modulus)) {
@@ -19,64 +66,162 @@ Montgomery::Montgomery(UInt modulus) : m_(std::move(modulus)) {
     throw std::invalid_argument("Montgomery: modulus must be odd and > 2");
   }
   n_ = m_.limbs().size();
-  m0_inv_ = neg_inv32(m_.limbs()[0]);
+  if (n_ > kMaxLimbs) {
+    throw std::invalid_argument("Montgomery: modulus wider than 8 limbs");
+  }
+  std::copy(m_.limbs().begin(), m_.limbs().end(), mw_.begin());
+  m0_inv_ = neg_inv32(mw_[0]);
   r_mod_m_ = UInt::pow2(32 * n_) % m_;
-  r2_mod_m_ = mulmod(r_mod_m_, r_mod_m_, m_);
+  const UInt r2 = mulmod(r_mod_m_, r_mod_m_, m_);
+  r2_ = load(r2);
+  r3_ = load(mulmod(r2, r_mod_m_, m_));
 }
 
-UInt Montgomery::redc(std::vector<Word> t) const {
-  // t has up to 2n limbs; extend for carries.
-  t.resize(2 * n_ + 1, 0);
-  const auto m = m_.limbs();
-  for (std::size_t i = 0; i < n_; ++i) {
-    const Word u = t[i] * m0_inv_;
-    DWord carry = 0;
-    for (std::size_t j = 0; j < n_; ++j) {
-      const DWord s = static_cast<DWord>(u) * m[j] + t[i + j] + carry;
-      t[i + j] = static_cast<Word>(s);
-      carry = s >> 32;
-    }
-    for (std::size_t j = i + n_; carry != 0; ++j) {
-      const DWord s = static_cast<DWord>(t[j]) + carry;
-      t[j] = static_cast<Word>(s);
-      carry = s >> 32;
-    }
+Montgomery::Words Montgomery::load(const UInt& a) const {
+  const auto l = a.limbs();
+  if (l.size() > n_) {
+    throw std::invalid_argument("Montgomery: operand wider than the modulus");
   }
-  UInt r{std::vector<Word>(t.begin() + static_cast<std::ptrdiff_t>(n_),
-                           t.end())};
-  if (r >= m_) r = r - m_;
-  return r;
+  Words w{};
+  std::copy(l.begin(), l.end(), w.begin());
+  return w;
+}
+
+UInt Montgomery::store(const Words& w) const {
+  return UInt{std::vector<Word>(w.begin(), w.begin() + n_)};
+}
+
+void Montgomery::mont_mul(const Words& a, const Words& b, Words& out) const {
+  // CIOS: per word b_i, t = (t + a*b_i + u*m) / 2^32 with u chosen to
+  // clear the low word. t < R + m throughout, so n + 2 words hold every
+  // intermediate. U = sum u_i 2^(32i) = -ab m^-1 mod R is the same
+  // multiplier a full-product REDC picks, so the result is too.
+  const std::size_t n = n_;
+  Word t[kMaxLimbs + 2] = {};
+  for (std::size_t i = 0; i < n; ++i) {
+    const DWord bi = b[i];
+    DWord c = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      c += a[j] * bi + t[j];
+      t[j] = static_cast<Word>(c);
+      c >>= 32;
+    }
+    c += t[n];
+    t[n] = static_cast<Word>(c);
+    t[n + 1] = static_cast<Word>(c >> 32);
+
+    const DWord u = static_cast<Word>(t[0] * m0_inv_);
+    c = (u * mw_[0] + t[0]) >> 32;
+    for (std::size_t j = 1; j < n; ++j) {
+      c += u * mw_[j] + t[j];
+      t[j - 1] = static_cast<Word>(c);
+      c >>= 32;
+    }
+    c += t[n];
+    t[n - 1] = static_cast<Word>(c);
+    t[n] = t[n + 1] + static_cast<Word>(c >> 32);
+  }
+  // REDC's final conditional subtract.
+  if (t[n] != 0 || !less(t, mw_.data(), n)) sub_words(t, mw_.data(), n);
+  std::copy_n(t, n, out.begin());
 }
 
 UInt Montgomery::to_mont(const UInt& a) const {
-  const UInt reduced = a % m_;
-  return mul(reduced, r2_mod_m_);
+  Words out{};
+  mont_mul(a.limbs().size() > n_ ? load(a % m_) : load(a), r2_, out);
+  return store(out);
 }
 
 UInt Montgomery::from_mont(const UInt& a) const {
-  std::vector<Word> t(a.limbs().begin(), a.limbs().end());
-  return redc(std::move(t));
+  Words one{};
+  one[0] = 1;
+  Words out{};
+  mont_mul(load(a), one, out);
+  return store(out);
 }
 
 UInt Montgomery::mul(const UInt& a, const UInt& b) const {
-  const UInt p = a * b;
-  std::vector<Word> t(p.limbs().begin(), p.limbs().end());
-  return redc(std::move(t));
+  Words out{};
+  mont_mul(load(a), load(b), out);
+  return store(out);
+}
+
+UInt Montgomery::add(const UInt& a, const UInt& b) const {
+  // s = a + b over n + 1 words; subtract m once if s >= m.
+  std::array<Word, kMaxLimbs + 1> s{};
+  const Words y = load(b);
+  const Words x = load(a);
+  std::copy_n(x.begin(), n_, s.begin());
+  s[n_] = add_words(s.data(), y.data(), n_);
+  if (s[n_] != 0 || !less(s.data(), mw_.data(), n_)) {
+    s[n_] -= sub_words(s.data(), mw_.data(), n_);
+  }
+  return UInt{std::vector<Word>(s.begin(), s.begin() + n_ + 1)};
+}
+
+UInt Montgomery::sub(const UInt& a, const UInt& b) const {
+  Words x = load(a);
+  sub_mod(x, load(b));
+  return store(x);
 }
 
 UInt Montgomery::pow(const UInt& base, const UInt& exp) const {
-  UInt result = r_mod_m_;  // 1 in-domain
-  UInt b = base;
+  Words result = load(r_mod_m_);  // 1 in-domain
+  Words b = load(base);
   const std::size_t bits = exp.bit_length();
   for (std::size_t i = 0; i < bits; ++i) {
-    if (exp.bit(i)) result = mul(result, b);
-    b = mul(b, b);
+    if (exp.bit(i)) mont_mul(result, b, result);
+    mont_mul(b, b, b);
   }
-  return result;
+  return store(result);
+}
+
+void Montgomery::halve(Words& x) const {
+  const Word top = (x[0] & 1u) ? add_words(x.data(), mw_.data(), n_) : 0;
+  shr1(x.data(), n_, top);
+}
+
+void Montgomery::sub_mod(Words& x, const Words& y) const {
+  // x - y, plus m when it borrows (the wrap past 2^(32n) cancels).
+  if (sub_words(x.data(), y.data(), n_) != 0) {
+    add_words(x.data(), mw_.data(), n_);
+  }
 }
 
 UInt Montgomery::inv(const UInt& a) const {
-  return pow(a, m_ - UInt{2});
+  // Binary extended Euclid (Hankerson-Menezes-Vanstone Alg. 2.22) on the
+  // in-domain a = xR itself, keeping x1*a = u and x2*a = v (mod m). u
+  // reaches 0 only when gcd(a, m) != 1: for a prime m, when x = 0, whose
+  // "inverse" is 0, as x^(m-2) gives.
+  Words u = load(a);
+  Words v = mw_;
+  Words x1{};
+  Words x2{};
+  x1[0] = 1;
+  const std::size_t n = n_;
+  if (is_zero(u.data(), n)) return UInt{};
+  while (!is_one(u.data(), n) && !is_one(v.data(), n)) {
+    while ((u[0] & 1u) == 0) {
+      shr1(u.data(), n);
+      halve(x1);
+    }
+    while ((v[0] & 1u) == 0) {
+      shr1(v.data(), n);
+      halve(x2);
+    }
+    if (!less(u.data(), v.data(), n)) {
+      sub_words(u.data(), v.data(), n);
+      sub_mod(x1, x2);
+      if (is_zero(u.data(), n)) return UInt{};
+    } else {
+      sub_words(v.data(), u.data(), n);
+      sub_mod(x2, x1);
+    }
+  }
+  // a^-1 * R^3 * R^-1 = x^-1 R: the inverse, in-domain.
+  Words out{};
+  mont_mul(is_one(u.data(), n) ? x1 : x2, r3_, out);
+  return store(out);
 }
 
 }  // namespace eccm0::mpint

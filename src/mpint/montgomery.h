@@ -5,7 +5,16 @@
 // whose inner loop is Montgomery/Comba multiplication — MUL/ADD heavy,
 // which is exactly the instruction-mix contrast the paper's energy
 // argument rests on.
+//
+// Fixed width: the modulus is at most kMaxLimbs 32-bit limbs, and every
+// operation runs on stack words of that size. Products are one CIOS pass
+// (coarsely integrated operand scanning); the inverse is a binary
+// extended Euclid lifted into the domain by one product with R^3.
+// Operands must fit in n limbs (below R = 2^(32n)); a wider one throws
+// std::invalid_argument. Reduced operands give reduced results.
 #pragma once
+
+#include <array>
 
 #include "mpint/uint.h"
 
@@ -13,13 +22,17 @@ namespace eccm0::mpint {
 
 class Montgomery {
  public:
-  /// modulus must be odd and > 2.
+  /// Widest modulus in 32-bit limbs; every secp curve has 6-8.
+  static constexpr std::size_t kMaxLimbs = 8;
+
+  /// modulus must be odd, > 2 and at most kMaxLimbs limbs wide.
   explicit Montgomery(UInt modulus);
 
   const UInt& modulus() const { return m_; }
   std::size_t limbs() const { return n_; }
 
-  /// Map into the Montgomery domain: a * R mod m (R = 2^(32n)).
+  /// Map into the Montgomery domain: a * R mod m (R = 2^(32n)). Any
+  /// width of `a` is accepted.
   UInt to_mont(const UInt& a) const;
   /// Map out of the Montgomery domain: a * R^-1 mod m.
   UInt from_mont(const UInt& a) const;
@@ -27,13 +40,13 @@ class Montgomery {
   /// Montgomery product: a * b * R^-1 mod m (both operands in-domain).
   UInt mul(const UInt& a, const UInt& b) const;
   UInt sqr(const UInt& a) const { return mul(a, a); }
-  /// In-domain addition/subtraction.
-  UInt add(const UInt& a, const UInt& b) const { return addmod(a, b, m_); }
-  UInt sub(const UInt& a, const UInt& b) const { return submod(a, b, m_); }
+  /// In-domain addition/subtraction (addmod / submod semantics).
+  UInt add(const UInt& a, const UInt& b) const;
+  UInt sub(const UInt& a, const UInt& b) const;
 
   /// base^exp with base in-domain; result in-domain.
   UInt pow(const UInt& base, const UInt& exp) const;
-  /// Inverse of an in-domain value (prime modulus assumed): a^(m-2).
+  /// Inverse of an in-domain value (prime modulus assumed); 0 for 0.
   UInt inv(const UInt& a) const;
 
   /// 1 in the Montgomery domain (R mod m).
@@ -44,13 +57,27 @@ class Montgomery {
   Word m0_inv() const { return m0_inv_; }
 
  private:
-  UInt redc(std::vector<Word> t) const;
+  using Words = std::array<Word, kMaxLimbs>;
+
+  /// `a` zero-padded to n words; throws std::invalid_argument if it is
+  /// wider than the modulus.
+  Words load(const UInt& a) const;
+  /// The value of the low n words.
+  UInt store(const Words& w) const;
+  /// out = a * b * R^-1 mod m for a, b < R (out may alias either).
+  void mont_mul(const Words& a, const Words& b, Words& out) const;
+  /// x = x / 2 mod m, for x < m.
+  void halve(Words& x) const;
+  /// x = x - y mod m (submod semantics).
+  void sub_mod(Words& x, const Words& y) const;
 
   UInt m_;
   std::size_t n_ = 0;
   Word m0_inv_ = 0;  ///< -m^-1 mod 2^32
+  Words mw_{};       ///< the modulus' limbs
   UInt r_mod_m_;     ///< R mod m
-  UInt r2_mod_m_;    ///< R^2 mod m
+  Words r2_{};       ///< R^2 mod m: to_mont's multiplier
+  Words r3_{};       ///< R^3 mod m: lifts a plain inverse into the domain
 };
 
 }  // namespace eccm0::mpint

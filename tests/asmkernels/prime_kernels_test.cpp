@@ -119,7 +119,7 @@ TEST_P(PrimeKernelTest, RedcMatchesHostReduction) {
   KernelMachine m(kname("redc"));
   workloads::load_prime_modulus(m.mem(), cref());
   // REDC(t) = t * R^-1 mod m; derive the expectation from first
-  // principles rather than the oracle's own redc.
+  // principles: the host oracle has no standalone REDC.
   const UInt r = UInt::pow2(32 * n());
   const UInt rinv = mpint::invmod(r % pc().p, pc().p);
   Rng rng(14);

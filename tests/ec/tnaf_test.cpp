@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.h"
+#include "ec/curve.h"
 
 namespace eccm0::ec {
 namespace {
@@ -262,6 +265,54 @@ TEST(Partmod, ResultIsCongruentAndShort) {
     const auto digits = wtnaf_digits(rho, curve.mu, 4);
     EXPECT_LE(digits.size(), 240u);
   }
+}
+
+TEST(Partmod, CurveDeltaIsTnafDelta) {
+  // Each Koblitz curve carries delta, computed once; it must be the
+  // (tau^m - 1)/(tau - 1) a fresh computation gives, transcribed and
+  // derived curves alike.
+  for (const BinaryCurve* c :
+       {&BinaryCurve::sect233k1(), &BinaryCurve::sect163k1(),
+        &BinaryCurve::k409_derived()}) {
+    EXPECT_EQ(c->delta, tnaf_delta(c->mu, c->f().m())) << c->name;
+    EXPECT_EQ(TauRing(c->mu).norm(c->delta).abs(), c->order) << c->name;
+  }
+}
+
+TEST(Partmod, MatchesReferenceWithFreshDelta) {
+  for (const BinaryCurve* c :
+       {&BinaryCurve::sect233k1(), &BinaryCurve::sect163k1()}) {
+    const TauRing ring(c->mu);
+    const ZTau delta = tnaf_delta(c->mu, c->f().m());
+    Rng rng(9);
+    for (int i = 0; i < 8; ++i) {
+      const UInt k = UInt::random_below(rng, c->order);
+      const ZTau kz{SInt{k, false}, SInt{0}};
+      const ZTau q = ring.div_round(kz, delta);
+      const ZTau want = ring.sub(kz, ring.mul(q, delta));
+      EXPECT_EQ(partmod(k, *c), want) << c->name << " k=" << k.to_hex();
+    }
+  }
+}
+
+TEST(AlphaReps, CachedTablesEqualFreshConstruction) {
+  for (int mu : {-1, 1}) {
+    const TauRing ring(mu);
+    for (unsigned w = 2; w <= 8; ++w) {
+      const ZTau tw = ring.tau_pow(w);
+      std::vector<ZTau> fresh;
+      for (std::int64_t u = 1; u < (std::int64_t{1} << (w - 1)); u += 2) {
+        const ZTau uz{SInt{u}, SInt{0}};
+        fresh.push_back(ring.sub(uz, ring.mul(ring.div_round(uz, tw), tw)));
+      }
+      const std::vector<ZTau>& cached = alpha_reps(mu, w);
+      EXPECT_EQ(cached, fresh) << "mu=" << mu << " w=" << w;
+      // Built once: every call returns the same table.
+      EXPECT_EQ(&alpha_reps(mu, w), &cached);
+    }
+  }
+  EXPECT_THROW((void)alpha_reps(-1, 9), std::invalid_argument);
+  EXPECT_THROW((void)alpha_reps(2, 4), std::invalid_argument);
 }
 
 TEST(Partmod, WtnafLengthHalvedVsNoReduction) {

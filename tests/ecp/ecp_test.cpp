@@ -90,6 +90,63 @@ TEST_P(PrimeCurveTest, OrderTimesGeneratorIsInfinity) {
                      ops.neg(ops.generator())));
 }
 
+TEST_P(PrimeCurveTest, CleanWnafNeverCollapses) {
+  const auto& c = *GetParam();
+  Rng rng(7);
+  const AffinePointP g = ops_.generator();
+  for (int i = 0; i < 3; ++i) {
+    const UInt k = UInt::random_below(rng, c.order);
+    for (unsigned w : {2u, 4u}) {
+      PrimeCurveOps watched(c);
+      PrimeCurveOps plain(c);
+      bool collapsed = false;
+      const AffinePointP got = mul_wnaf_p(watched, g, k, w, &collapsed);
+      EXPECT_FALSE(collapsed) << "k=" << k.to_hex() << " w=" << w;
+      EXPECT_TRUE(watched.eq(got, mul_wnaf_p(plain, g, k, w)));
+      // Watching the accumulator costs no field operation.
+      EXPECT_EQ(watched.counts().mul, plain.counts().mul);
+      EXPECT_EQ(watched.counts().sqr, plain.counts().sqr);
+      EXPECT_EQ(watched.counts().inv, plain.counts().inv);
+      EXPECT_EQ(watched.counts().add, plain.counts().add);
+    }
+  }
+  // n*G reaches infinity only on its last step: no collapse.
+  bool collapsed = false;
+  EXPECT_TRUE(mul_wnaf_p(ops_, g, c.order, 4, &collapsed).inf);
+  EXPECT_FALSE(collapsed);
+}
+
+TEST_P(PrimeCurveTest, ZeroedProductCollapseSetsFlag) {
+  // Zero one mid-loop multiplication at a time. A mixed addition's
+  // Z3 = Z1*H is among them; zeroing it sends the accumulator back to
+  // infinity, and the next addition rebuilds it into a valid wrong point
+  // that the end checks cannot tell from the right one.
+  const auto& c = *GetParam();
+  Rng rng(8);
+  const UInt k = UInt::random_below(rng, c.order);
+  const AffinePointP g = ops_.generator();
+  PrimeCurveOps clean(c);
+  const AffinePointP want = mul_wnaf_p(clean, g, k, 4);
+  const std::uint64_t mid = clean.counts().mul / 2;
+  int flagged = 0;
+  int flagged_on_curve = 0;
+  for (std::uint64_t target = mid; target < mid + 48; ++target) {
+    PrimeCurveOps ops(c);
+    ops.set_mul_tamper(
+        [target](std::uint64_t idx, const UInt&, const UInt&, UInt& r) {
+          if (idx == target) r = UInt{};
+        });
+    bool collapsed = false;
+    const AffinePointP got = mul_wnaf_p(ops, g, k, 4, &collapsed);
+    if (!collapsed) continue;
+    ++flagged;
+    EXPECT_FALSE(ops.eq(got, want)) << "target " << target;
+    if (!got.inf && ops.on_curve(got)) ++flagged_on_curve;
+  }
+  EXPECT_GT(flagged, 0);
+  EXPECT_GT(flagged_on_curve, 0);
+}
+
 TEST_P(PrimeCurveTest, JacobianOpCosts) {
   const AffinePointP g = ops_.generator();
   JacobianPoint j = ops_.to_jacobian(g);
