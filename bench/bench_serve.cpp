@@ -161,48 +161,54 @@ WallResult blast(std::uint16_t port, const std::string& op,
   return r;
 }
 
+/// How long the coalesce A/B parks its one worker before the blast.
+constexpr std::uint64_t kHoldMs = 100;
+
 /// The coalesce A/B load: every connection pipelines `per_conn`
 /// identical requests (write all frames, then read all responses), so
-/// the queue actually holds duplicates for the worker to group.
+/// the queue actually holds duplicates for the worker to group. The
+/// clients connect first; then a `sleep` request, which never
+/// coalesces, parks the worker and every frame is written right behind
+/// it. So the duplicates are queued before the worker turns to them,
+/// however the threads were scheduled. The timed window opens when the
+/// sleep is answered, so it covers the work on the duplicates alone.
 WallResult blast_pipelined(std::uint16_t port, const std::string& op,
                            const telemetry::Json& params, unsigned conns,
                            std::uint64_t per_conn) {
-  std::vector<char> thread_ok(conns, 1);
-  std::vector<std::thread> threads;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (unsigned c = 0; c < conns; ++c) {
-    threads.emplace_back([&, c] {
-      try {
-        service::Client client;
-        client.connect_to(port);
-        for (std::uint64_t i = 0; i < per_conn; ++i) {
-          const telemetry::Json req =
-              service::wire::make_request(i + 1, op, params);
-          if (!service::wire::write_frame(client.fd(), req.dump())) {
-            thread_ok[c] = 0;
-            return;
-          }
-        }
-        for (std::uint64_t i = 0; i < per_conn; ++i) {
-          std::string body;
-          if (!service::wire::read_frame(client.fd(), body) ||
-              !telemetry::Json::parse(body).get("ok")->as_bool()) {
-            thread_ok[c] = 0;
-            return;
-          }
-        }
-      } catch (const std::exception&) {
-        thread_ok[c] = 0;
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-
+  const auto answered_ok = [](int fd) {
+    std::string body;
+    return service::wire::read_frame(fd, body) &&
+           telemetry::Json::parse(body).get("ok")->as_bool();
+  };
   WallResult r;
-  r.seconds = seconds_since(t0);
   r.requests = conns * per_conn;
-  for (unsigned c = 0; c < conns; ++c) {
-    if (thread_ok[c] == 0) r.ok = false;
+  try {
+    service::Client hold;
+    hold.connect_to(port);
+    std::vector<service::Client> clients(conns);
+    for (service::Client& c : clients) c.connect_to(port);
+
+    telemetry::Json sleep_params = telemetry::Json::object();
+    sleep_params.set("ms", telemetry::Json::number(kHoldMs));
+    r.ok = service::wire::write_frame(
+        hold.fd(), service::wire::make_request(1, "sleep", sleep_params).dump());
+    for (service::Client& c : clients) {
+      for (std::uint64_t i = 0; i < per_conn; ++i) {
+        r.ok = r.ok && service::wire::write_frame(
+                           c.fd(),
+                           service::wire::make_request(i + 1, op, params).dump());
+      }
+    }
+    r.ok = r.ok && answered_ok(hold.fd());
+    const auto t0 = std::chrono::steady_clock::now();
+    for (service::Client& c : clients) {
+      for (std::uint64_t i = 0; i < per_conn; ++i) {
+        r.ok = r.ok && answered_ok(c.fd());
+      }
+    }
+    r.seconds = seconds_since(t0);
+  } catch (const std::exception&) {
+    r.ok = false;
   }
   return r;
 }
@@ -320,9 +326,11 @@ int main(int argc, char** argv) {
   batched.start();
   const WallResult batched_r =
       blast_pipelined(batched.port(), "kp", params, conns, coalesce_per_conn);
+  // A worker counts a group after sending its last response, so read the
+  // counter only once stop() has joined the worker.
+  batched.stop();
   const std::uint64_t coalesced =
       batched.metrics().counter_value("serve.coalesced");
-  batched.stop();
 
   if (!plain_r.ok || !batched_r.ok) {
     std::fprintf(stderr, "FAIL: coalesce A/B saw errored requests\n");

@@ -427,7 +427,6 @@ class Cpu {
       DecodeMode mode = DecodeMode::kPredecode);
 
   const Program& program() const { return *prog_; }
-  const ProgramRef& program_ref() const { return prog_; }
 
   std::uint32_t reg(unsigned r) const { return r_[r]; }
   void set_reg(unsigned r, std::uint32_t v) { r_[r] = v; }
@@ -435,7 +434,6 @@ class Cpu {
   bool flag_z() const { return z_; }
   bool flag_c() const { return c_; }
   bool flag_v() const { return v_; }
-  DecodeMode decode_mode() const { return mode_; }
 
   /// Execute one instruction at PC. Returns false when halted (BKPT or
   /// return-sentinel reached). Architectural errors surface as typed

@@ -35,10 +35,6 @@ class Rng {
     for (Word& w : out) w = next_word();
   }
 
-  constexpr void fill_bytes(std::span<std::uint8_t> out) {
-    for (auto& b : out) b = static_cast<std::uint8_t>(next_u64());
-  }
-
   /// Derive an independent child stream as a pure function of the
   /// current state and `id`; the parent is not advanced. Child streams
   /// for distinct ids are decorrelated from each other and from the

@@ -19,7 +19,7 @@ std::vector<std::pair<std::size_t, std::uint64_t>> MemHeatmap::hottest(
 void MemHeatmap::clear() {
   std::fill(loads_.begin(), loads_.end(), 0);
   std::fill(stores_.begin(), stores_.end(), 0);
-  total_loads_ = total_stores_ = code_reads_ = 0;
+  total_loads_ = total_stores_ = 0;
 }
 
 }  // namespace eccm0::profile

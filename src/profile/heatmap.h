@@ -26,10 +26,7 @@ class MemHeatmap final : public armvm::TraceSink {
   void on_retire(const armvm::TraceEvent& ev) override {
     for (unsigned i = 0; i < ev.num_accesses; ++i) {
       const armvm::MemAccess& a = ev.accesses[i];
-      if (a.addr < armvm::kRamBase) {
-        ++code_reads_;  // literal pools / code-space loads
-        continue;
-      }
+      if (a.addr < armvm::kRamBase) continue;  // literal pools, code space
       const std::size_t w = (a.addr - armvm::kRamBase) / 4;
       if (w >= loads_.size()) continue;
       if (a.store) {
@@ -50,8 +47,6 @@ class MemHeatmap final : public armvm::TraceSink {
   }
   std::uint64_t total_loads() const { return total_loads_; }
   std::uint64_t total_stores() const { return total_stores_; }
-  /// PC-relative literal loads etc. — data reads outside RAM.
-  std::uint64_t code_reads() const { return code_reads_; }
 
   /// A named span of the RAM layout, in words.
   struct Region {
@@ -101,7 +96,6 @@ class MemHeatmap final : public armvm::TraceSink {
   std::vector<std::uint64_t> stores_;
   std::uint64_t total_loads_ = 0;
   std::uint64_t total_stores_ = 0;
-  std::uint64_t code_reads_ = 0;
 };
 
 }  // namespace eccm0::profile

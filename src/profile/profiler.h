@@ -95,9 +95,6 @@ class Profiler final : public armvm::TraceSink {
   /// exactly (cycles, instructions) and its Table-3 energy report.
   std::uint64_t total_cycles() const { return total_cycles_; }
   std::uint64_t total_instructions() const { return total_instructions_; }
-  const costmodel::CycleHistogram& total_histogram() const {
-    return total_hist_;
-  }
   double total_energy_pj(const costmodel::InstructionEnergyTable& t =
                              costmodel::kM0PlusEnergy) const {
     return costmodel::energy_of(total_hist_, t).energy_pj;

@@ -59,7 +59,6 @@ class Json {
 
   Kind kind() const { return kind_; }
   bool is_object() const { return kind_ == Kind::kObject; }
-  bool is_array() const { return kind_ == Kind::kArray; }
 
   // ---- building -------------------------------------------------------
   /// Append (object) — duplicate keys are kept; get() returns the first.

@@ -70,7 +70,6 @@ class KernelMachine {
                 const armvm::MemModelConfig& mem_model = {});
 
   const armvm::Program& prog() const { return *prog_; }
-  const armvm::ProgramRef& prog_ref() const { return prog_; }
   armvm::Memory& mem() { return mem_; }
   armvm::Cpu& cpu() { return cpu_; }
 

@@ -120,10 +120,4 @@ KernelVm::FeResult KernelVm::reduce(const Prod& wide) {
   return r;
 }
 
-std::size_t KernelVm::code_bytes_mul_fixed() const {
-  return mul_fixed_mod_->code_bytes();
-}
-
-std::size_t KernelVm::code_bytes_sqr() const { return sqr_->code_bytes(); }
-
 }  // namespace eccm0::workloads

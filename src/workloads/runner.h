@@ -58,10 +58,6 @@ class KernelVm {
   /// Precomputation" share of one multiplication).
   std::uint64_t lut_cycles(const gf2::k233::Fe& y);
 
-  /// Static code sizes in bytes (for the report).
-  std::size_t code_bytes_mul_fixed() const;
-  std::size_t code_bytes_sqr() const;
-
  private:
   armvm::ProgramRef mul_fixed_raw_, mul_fixed_mod_;
   armvm::ProgramRef mul_plain_raw_, mul_plain_mod_;
