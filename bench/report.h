@@ -112,7 +112,9 @@ class Args {
   /// Engine name for `--engine=` (see armvm/dispatch.h). Kept as the
   /// flag spelling so this header stays armvm-free; harnesses convert
   /// with armvm::decode_mode_from_name, which throws on a bad value.
-  std::string engine = "predecode";
+  /// The default spells armvm::Cpu::kDefaultEngine (service_test holds
+  /// the two equal).
+  std::string engine = "threaded";
   /// Memory model name for `--mem=` (see armvm/memmodel.h). Same
   /// convention as `engine`: kept as the flag spelling, converted by
   /// harnesses with armvm::mem_model_from_name (which throws on a bad

@@ -415,16 +415,19 @@ class Cpu {
                  ///< block, or when the PC enters a block anywhere but
                  ///< its head. Bit-identical to the other engines.
   };
+  /// The engine every config, campaign and harness runs unless told
+  /// otherwise — the one place the default is spelled.
+  static constexpr DecodeMode kDefaultEngine = DecodeMode::kThreaded;
 
   /// A Cpu is a cheap per-run execution context over a shared immutable
   /// `Program` (code at address 0, predecode cache, symbols); `ram` is
   /// the SRAM. Any number of contexts — including on different threads —
   /// can execute the same ProgramRef concurrently, each with its own
   /// Memory.
-  Cpu(ProgramRef prog, Memory& ram, DecodeMode mode = DecodeMode::kPredecode);
+  Cpu(ProgramRef prog, Memory& ram, DecodeMode mode = kDefaultEngine);
   /// Convenience: wrap raw halfwords into a fresh single-use Program.
   Cpu(std::vector<std::uint16_t> code, Memory& ram,
-      DecodeMode mode = DecodeMode::kPredecode);
+      DecodeMode mode = kDefaultEngine);
 
   const Program& program() const { return *prog_; }
 

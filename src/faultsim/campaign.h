@@ -96,7 +96,7 @@ struct CampaignConfig {
   /// Execution engine of the injected armvm core (`--engine=`). The
   /// tally is engine-independent (see run_with_fault); this exists to
   /// A/B the engines under fault load.
-  armvm::Cpu::DecodeMode engine = armvm::Cpu::DecodeMode::kPredecode;
+  armvm::Cpu::DecodeMode engine = armvm::Cpu::kDefaultEngine;
   /// Optional telemetry (nullptr = off, zero cost). Classification
   /// counters and the `campaign.kp.vm_cycles` histogram are recorded at
   /// the serial run-order tally, so the snapshot is identical for any
@@ -122,7 +122,7 @@ class KpFaultCampaign {
   /// retirements of one clean kernel call (the FaultSpec window).
   explicit KpFaultCampaign(
       std::uint64_t seed,
-      armvm::Cpu::DecodeMode engine = armvm::Cpu::DecodeMode::kPredecode,
+      armvm::Cpu::DecodeMode engine = armvm::Cpu::kDefaultEngine,
       const std::string& curve = "sect233k1");
   ~KpFaultCampaign();
 
@@ -219,7 +219,7 @@ struct MemCampaignConfig {
   /// Workload curve (`--curve=`), same contract as CampaignConfig.
   std::string curve = "sect233k1";
   unsigned threads = 1;
-  armvm::Cpu::DecodeMode engine = armvm::Cpu::DecodeMode::kPredecode;
+  armvm::Cpu::DecodeMode engine = armvm::Cpu::kDefaultEngine;
   /// Raw storage bit-error probabilities to sweep.
   std::vector<double> bers = {1e-6, 1e-5, 1e-4, 1e-3};
   /// SECDED scrub period in protected accesses (0 = off); raw/parity

@@ -80,6 +80,6 @@ struct InjectedRun {
 InjectedRun run_with_fault(
     const armvm::ProgramRef& prog, armvm::Memory& ram, const FaultSpec& spec,
     std::uint64_t max_instructions = 1'000'000,
-    armvm::Cpu::DecodeMode engine = armvm::Cpu::DecodeMode::kPredecode);
+    armvm::Cpu::DecodeMode engine = armvm::Cpu::kDefaultEngine);
 
 }  // namespace eccm0::faultsim

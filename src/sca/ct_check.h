@@ -56,7 +56,7 @@ struct CtConfig {
   /// Execution engine (`--engine=`). Digest runs are traced, so the
   /// threaded engine takes its per-instruction fallback — the report is
   /// engine-independent by construction, and this exists to prove it.
-  armvm::Cpu::DecodeMode engine = armvm::Cpu::DecodeMode::kPredecode;
+  armvm::Cpu::DecodeMode engine = armvm::Cpu::kDefaultEngine;
   /// Optional telemetry (nullptr = off): `ct.runs` / `ct.divergent`
   /// counters and a `ct.run_cycles` histogram, recorded in the serial
   /// run loop; the progress meter ticks once per verified run.

@@ -1,6 +1,7 @@
 #include "service/client.h"
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -38,6 +39,9 @@ void Client::connect_to(std::uint16_t port) {
                              std::to_string(port) + ": " +
                              std::strerror(err));
   }
+  // Requests are small and latency-bound: never hold one back for Nagle.
+  const int one = 1;
+  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 telemetry::Json Client::read_response() {

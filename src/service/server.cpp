@@ -1,6 +1,7 @@
 #include "service/server.h"
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -201,6 +202,10 @@ void Server::accept_loop() {
       if (errno == EINTR) continue;
       return;  // listen socket closed (stop()) or fatal
     }
+    // Responses are small and latency-bound: never hold one back for
+    // Nagle while the client's delayed ACK is pending.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto conn = std::make_shared<Connection>(fd);
     std::lock_guard<std::mutex> lock(sessions_mu_);
     if (!running_.load(std::memory_order_acquire)) return;

@@ -56,7 +56,7 @@ struct ServerConfig {
   /// std::invalid_argument rather than wedging every client.
   std::size_t queue_depth = 64;
   /// Execution engine / memory model for every VM run the server does.
-  armvm::Cpu::DecodeMode engine = armvm::Cpu::DecodeMode::kPredecode;
+  armvm::Cpu::DecodeMode engine = armvm::Cpu::kDefaultEngine;
   armvm::MemModelConfig mem_model{};
   /// Coalesce identical concurrent workload requests into one run.
   bool coalesce = true;

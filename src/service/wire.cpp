@@ -3,8 +3,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
-#include <cstring>
 
 namespace eccm0::service::wire {
 
@@ -118,7 +118,10 @@ telemetry::Json make_error(std::uint64_t id, const std::string& op,
 
 namespace {
 
-bool read_exact(int fd, void* buf, std::size_t n, bool* saw_any) {
+/// Largest step by which read_frame grows a body.
+constexpr std::size_t kReadChunk = 64u << 10;
+
+bool read_exact(int fd, void* buf, std::size_t n) {
   std::uint8_t* p = static_cast<std::uint8_t*>(buf);
   std::size_t got = 0;
   while (got < n) {
@@ -129,7 +132,6 @@ bool read_exact(int fd, void* buf, std::size_t n, bool* saw_any) {
       return false;
     }
     got += static_cast<std::size_t>(r);
-    if (saw_any != nullptr) *saw_any = true;
   }
   return true;
 }
@@ -154,7 +156,7 @@ bool write_exact(int fd, const void* buf, std::size_t n) {
 bool read_frame(int fd, std::string& body, bool* bad_frame) {
   if (bad_frame != nullptr) *bad_frame = false;
   std::uint8_t prefix[4];
-  if (!read_exact(fd, prefix, sizeof(prefix), nullptr)) return false;
+  if (!read_exact(fd, prefix, sizeof(prefix))) return false;
   const std::uint32_t len = static_cast<std::uint32_t>(prefix[0]) |
                             static_cast<std::uint32_t>(prefix[1]) << 8 |
                             static_cast<std::uint32_t>(prefix[2]) << 16 |
@@ -163,20 +165,29 @@ bool read_frame(int fd, std::string& body, bool* bad_frame) {
     if (bad_frame != nullptr) *bad_frame = true;
     return false;
   }
-  body.resize(len);
-  return read_exact(fd, body.data(), len, nullptr);
+  // A prefix is only a claim: grow the body chunk by chunk as bytes
+  // arrive, so a peer that announces 4 MiB and stalls holds one chunk.
+  body.clear();
+  while (body.size() < len) {
+    const std::size_t got = body.size();
+    body.resize(got + std::min<std::size_t>(len - got, kReadChunk));
+    if (!read_exact(fd, body.data() + got, body.size() - got)) return false;
+  }
+  return true;
 }
 
 bool write_frame(int fd, const std::string& body) {
   if (body.empty() || body.size() > kMaxFrameBytes) return false;
+  // Prefix and body leave in one send(): a separate 4-byte write makes
+  // the body wait on Nagle until the peer's delayed ACK (~40 ms).
   const std::uint32_t len = static_cast<std::uint32_t>(body.size());
-  const std::uint8_t prefix[4] = {
-      static_cast<std::uint8_t>(len & 0xFF),
-      static_cast<std::uint8_t>(len >> 8 & 0xFF),
-      static_cast<std::uint8_t>(len >> 16 & 0xFF),
-      static_cast<std::uint8_t>(len >> 24 & 0xFF)};
-  if (!write_exact(fd, prefix, sizeof(prefix))) return false;
-  return write_exact(fd, body.data(), body.size());
+  std::string frame;
+  frame.reserve(4 + body.size());
+  for (int shift = 0; shift < 32; shift += 8) {
+    frame.push_back(static_cast<char>(len >> shift & 0xFF));
+  }
+  frame += body;
+  return write_exact(fd, frame.data(), frame.size());
 }
 
 }  // namespace eccm0::service::wire

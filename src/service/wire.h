@@ -85,10 +85,13 @@ telemetry::Json make_error(std::uint64_t id, const std::string& op,
 
 /// Read one length-prefixed frame into `body`. Returns false on clean
 /// EOF before the prefix, on transport error, or on a bad length
-/// (`*bad_frame` distinguishes the last case when non-null).
+/// (`*bad_frame` distinguishes the last case when non-null). The body
+/// grows as its bytes arrive (at most 64 KiB per step), so a prefix
+/// alone commits no memory.
 bool read_frame(int fd, std::string& body, bool* bad_frame = nullptr);
 
-/// Write one length-prefixed frame. False on transport error.
+/// Write one length-prefixed frame, prefix and body in a single buffer.
+/// False on transport error.
 bool write_frame(int fd, const std::string& body);
 
 }  // namespace eccm0::service::wire

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -16,7 +17,9 @@
 #include <thread>
 #include <vector>
 
+#include "armvm/dispatch.h"
 #include "faultsim/campaign.h"
+#include "report.h"
 #include "sca/ct_check.h"
 #include "service/client.h"
 #include "service/server.h"
@@ -121,6 +124,28 @@ TEST(Wire, FrameRoundTripOverSocketpair) {
   ::close(fds[1]);
 }
 
+TEST(Wire, AnnouncedLengthCommitsNoMemoryThePeerHasNotSent) {
+  // A prefix claiming the 4 MiB maximum followed by 16 bytes and a
+  // hang-up: a truncated frame (not a bad one), and the body must not
+  // have been sized from the claim.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const std::uint32_t len = wire::kMaxFrameBytes;
+  const char prefix[4] = {static_cast<char>(len & 0xFF),
+                          static_cast<char>(len >> 8 & 0xFF),
+                          static_cast<char>(len >> 16 & 0xFF),
+                          static_cast<char>(len >> 24 & 0xFF)};
+  ASSERT_EQ(::send(fds[0], prefix, 4, 0), 4);
+  ASSERT_EQ(::send(fds[0], "0123456789abcdef", 16, 0), 16);
+  ::close(fds[0]);
+  std::string body;
+  bool bad = true;
+  EXPECT_FALSE(wire::read_frame(fds[1], body, &bad));
+  EXPECT_FALSE(bad) << "a truncated body is EOF, not a bad length";
+  EXPECT_LT(body.capacity(), std::size_t{1} << 20);
+  ::close(fds[1]);
+}
+
 // ---- server ----------------------------------------------------------
 
 ServerConfig test_config(unsigned workers, std::size_t queue_depth = 64) {
@@ -148,9 +173,9 @@ TEST(Server, ServedWorkloadPayloadsAreBitIdenticalToDirectCalls) {
       ASSERT_TRUE(resp.get("ok")->as_bool()) << op << " " << curve;
 
       const workloads::WorkloadSpec spec = workloads::make_workload(op, curve);
+      const armvm::Cpu::DecodeMode engine = ServerConfig{}.engine;
       const telemetry::Json direct = workload_payload(
-          spec, 1, workloads::replay(spec, armvm::Cpu::DecodeMode::kPredecode),
-          armvm::Cpu::DecodeMode::kPredecode, {});
+          spec, 1, workloads::replay(spec, engine), engine, {});
       EXPECT_EQ(resp.get("payload")->dump(), direct.dump())
           << op << " " << curve;
     }
@@ -400,11 +425,9 @@ TEST(Server, CoalescedBatchStillServesIdenticalPayloads) {
   }
   const workloads::WorkloadSpec spec =
       workloads::make_workload("kp", "sect233k1");
+  const armvm::Cpu::DecodeMode engine = ServerConfig{}.engine;
   const std::string direct =
-      workload_payload(spec, 1,
-                       workloads::replay(spec,
-                                         armvm::Cpu::DecodeMode::kPredecode),
-                       armvm::Cpu::DecodeMode::kPredecode, {})
+      workload_payload(spec, 1, workloads::replay(spec, engine), engine, {})
           .dump();
   for (std::uint64_t i = 0; i < kRequests; ++i) {
     std::string body;
@@ -414,6 +437,62 @@ TEST(Server, CoalescedBatchStillServesIdenticalPayloads) {
     EXPECT_EQ(resp.get("payload")->dump(), direct);
   }
   server.stop();
+}
+
+double median_ms(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+TEST(Server, PingRoundTripsDoNotWaitOnDelayedAck) {
+  // A frame split across two sends, or a pipelined frame held back by
+  // Nagle, waits for the peer's ~40 ms delayed ACK: sequential calls
+  // catch the split frame, pipelined bursts catch Nagle.
+  using Clock = std::chrono::steady_clock;
+  auto ms_since = [](Clock::time_point t) {
+    return std::chrono::duration<double, std::milli>(Clock::now() - t)
+        .count();
+  };
+  Server server(test_config(1));
+  server.start();
+  Client client;
+  client.connect_to(server.port());
+
+  std::vector<double> sequential;
+  for (int i = 0; i < 20; ++i) {
+    const Clock::time_point t = Clock::now();
+    ASSERT_TRUE(client.call("ping", telemetry::Json::object())
+                    .get("ok")
+                    ->as_bool());
+    sequential.push_back(ms_since(t));
+  }
+  EXPECT_LT(median_ms(sequential), 20.0);
+
+  std::vector<double> bursts;
+  std::uint64_t id = 100;
+  for (int b = 0; b < 10; ++b) {
+    const Clock::time_point t = Clock::now();
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(wire::write_frame(
+          client.fd(),
+          wire::make_request(++id, "ping", telemetry::Json::object()).dump()));
+    }
+    for (int i = 0; i < 4; ++i) {
+      std::string body;
+      ASSERT_TRUE(wire::read_frame(client.fd(), body));
+      EXPECT_TRUE(telemetry::Json::parse(body).get("ok")->as_bool());
+    }
+    bursts.push_back(ms_since(t));
+  }
+  EXPECT_LT(median_ms(bursts), 20.0);
+  server.stop();
+}
+
+TEST(DefaultEngine, BenchFlagDefaultSpellsTheCpuDefault) {
+  // bench::Args keeps the engine as its flag spelling, so it cannot
+  // name Cpu::kDefaultEngine; hold the two equal here.
+  EXPECT_EQ(bench::Args{}.engine,
+            armvm::decode_mode_name(armvm::Cpu::kDefaultEngine));
 }
 
 TEST(Server, ShutdownOpRequestsStop) {
