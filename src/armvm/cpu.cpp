@@ -431,6 +431,57 @@ bool Cpu::step_impl() {
   return !halted_;
 }
 
+bool Cpu::step_corrupted(std::uint16_t flip) {
+  const std::uint32_t pc = r_[kPC];
+  const std::size_t idx = pc / 2;
+  if (halted_ || pc % 2 != 0 || idx >= code_size_) return step();
+  // The step's view of code space: the image with the one halfword
+  // flipped, until the step ends, however it ends.
+  std::vector<std::uint16_t> image(code_, code_ + code_size_);
+  image[idx] ^= flip;
+  struct CodeView {
+    Cpu& cpu;
+    const std::uint16_t* pristine;
+    ~CodeView() { cpu.code_ = pristine; }
+  } view{*this, code_};
+  code_ = image.data();
+  try {
+    // step_impl's retirement, on the corrupted decode.
+    const Decoded d = decode(image, idx);
+    r_[kPC] = pc + 2 * d.halfwords;
+    if (trace_ == nullptr) {
+      exec<false>(d.ins, d.halfwords);
+    } else {
+      exec_traced(pc, d.ins, d.halfwords);
+    }
+    if (const std::uint32_t w = ram_.take_pending_wait_cycles(); w != 0) {
+      account<false>(InstrClass::kMemWait, w);
+    }
+    ++stats_.instructions;
+    return !halted_;
+  } catch (Fault& f) {
+    f.attach_state(arch_state());
+    throw;
+  }
+}
+
+std::uint64_t Cpu::run_for(std::uint64_t n) {
+  const std::uint64_t before = stats_.instructions;
+  switch (mode_) {
+    case DecodeMode::kPredecode:
+      run_predecoded(n);
+      break;
+    case DecodeMode::kThreaded:
+      run_threaded(n);
+      break;
+    case DecodeMode::kPerStep:
+      for (std::uint64_t i = 0; i < n && step(); ++i) {
+      }
+      break;
+  }
+  return stats_.instructions - before;
+}
+
 std::uint64_t Cpu::run_predecoded(std::uint64_t limit) {
   // Select the loop instantiation ONCE per chunk: the untraced/raw
   // variant contains no tracing or wait-state code at all, so an idle

@@ -443,6 +443,23 @@ class Cpu {
   /// armvm::Fault exceptions annotated with the state at the fault.
   bool step();
 
+  /// Retire exactly `n` instructions through this core's engine, or
+  /// fewer when it halts first; returns how many retired. No budget
+  /// (the caller bounds n) and faults surface as from step(). The
+  /// threaded engine enters a fused block only when the whole block
+  /// fits in what is left of n, so every engine stops on the same
+  /// instruction as n single steps would.
+  std::uint64_t run_for(std::uint64_t n);
+
+  /// step() with one transient fetch fault: for this instruction only,
+  /// the halfword at PC reads as its value XOR `flip`, both when it is
+  /// decoded and in any code-space load it makes (the step runs over a
+  /// private copy of the image). Only the fetched halfword(s) are
+  /// decoded; the shared Program and its predecode cache are untouched.
+  /// A PC that is no instruction slot (odd, outside the code, the return
+  /// sentinel) has nothing to corrupt: plain step().
+  bool step_corrupted(std::uint16_t flip);
+
   /// Standard AAPCS-ish call: r0..r3 = args, lr = sentinel, runs to
   /// completion (throws armvm::BudgetFault after `max_instructions`).
   RunStats call(std::uint32_t entry, std::initializer_list<std::uint32_t> args,

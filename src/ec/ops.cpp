@@ -25,7 +25,11 @@ bool CurveOps::on_curve_ld(const LDPoint& p) {
   const Elem z2 = fsqr(p.Z);
   const Elem x2 = fsqr(p.X);
   const Elem lhs = fadd(fsqr(p.Y), fmul(fmul(p.X, p.Y), p.Z));
-  Elem rhs = fadd(fmul(fmul(x2, p.X), p.Z), fmul(c_.b, fsqr(z2)));
+  // Sibling counted multiplies are sequenced by hand (here and below):
+  // argument order is unspecified, and the tamper hook's numbering
+  // must not depend on the compiler.
+  const Elem bz4 = fmul(c_.b, fsqr(z2));
+  Elem rhs = fadd(fmul(fmul(x2, p.X), p.Z), bz4);
   if (!GF2Field::is_zero(c_.a)) rhs = fadd(rhs, fmul(c_.a, fmul(x2, z2)));
   return lhs == rhs;
 }
@@ -94,7 +98,8 @@ void CurveOps::ld_double(LDPoint& p) {
   } else if (!GF2Field::is_zero(c_.a)) {
     inner = fadd(inner, fmul(c_.a, z3));
   }
-  const Elem y3 = fadd(fmul(t3, z3), fmul(x3, inner));
+  const Elem x3_inner = fmul(x3, inner);
+  const Elem y3 = fadd(fmul(t3, z3), x3_inner);
   p = LDPoint{x3, y3, z3};
 }
 

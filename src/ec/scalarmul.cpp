@@ -57,8 +57,11 @@ std::vector<AffinePoint> batch_to_affine(CurveOps& ops,
     const gf2::Elem zi =
         k == 0 ? acc : ops.fmul(acc, prefix[k - 1]);  // 1/Z_i
     acc = k == 0 ? acc : ops.fmul(acc, pts[i].Z);     // strip Z_i
-    out[i] = AffinePoint::make(ops.fmul(pts[i].X, zi),
-                               ops.fmul(pts[i].Y, ops.fsqr(zi)));
+    // y before x: the tamper hook's numbering of the two (see
+    // CurveOps::on_curve_ld).
+    const gf2::Elem y = ops.fmul(pts[i].Y, ops.fsqr(zi));
+    const gf2::Elem x = ops.fmul(pts[i].X, zi);
+    out[i] = AffinePoint::make(x, y);
   }
   return out;
 }
@@ -95,12 +98,9 @@ WtnafTable make_wtnaf_table(CurveOps& ops, const AffinePoint& p, unsigned w,
   // projective coordinates. One simultaneous inversion normalises the
   // whole table (the paper's "TNAF Precomputation" stays around a single
   // inversion's cost).
-  const std::vector<ZTau>& alphas = alpha_reps(curve.mu, w);
   const AffinePoint neg_p = ops.neg(p);
   std::vector<LDPoint> proj;
-  proj.reserve(alphas.size());
-  for (const ZTau& a : alphas) {
-    const auto digits = wtnaf_digits(a, curve.mu, 2);
+  for (const std::vector<int>& digits : alpha_digits(curve.mu, w)) {
     LDPoint q = LDPoint::infinity();
     for (std::size_t i = digits.size(); i-- > 0;) {
       ops.frob_inplace(q);
@@ -120,8 +120,13 @@ LDPoint mul_wtnaf_ld(CurveOps& ops, const WtnafTable& table, const UInt& k,
                      bool* collapsed) {
   const auto& curve = ops.curve();
   if (k.is_zero()) return LDPoint::infinity();
-  const ZTau rho = partmod(k, curve);
-  const auto digits = wtnaf_digits(rho, curve.mu, table.w);
+  return mul_wtnaf_ld(ops, table,
+                      wtnaf_digits(partmod(k, curve), curve.mu, table.w),
+                      collapsed);
+}
+
+LDPoint mul_wtnaf_ld(CurveOps& ops, const WtnafTable& table,
+                     std::span<const int> digits, bool* collapsed) {
   LDPoint q = LDPoint::infinity();
   for (std::size_t i = digits.size(); i-- > 0;) {
     ops.frob_inplace(q);
@@ -147,18 +152,7 @@ AffinePoint mul_wtnaf(CurveOps& ops, const AffinePoint& p, const UInt& k,
 
 AffinePoint mul_wnaf(CurveOps& ops, const AffinePoint& p, const UInt& k,
                      unsigned w) {
-  // Recode k into width-w NAF digits (little-endian).
-  std::vector<int> digits;
-  SInt s{k, false};
-  while (!s.is_zero()) {
-    int u = 0;
-    if (s.is_odd()) {
-      u = static_cast<int>(s.mods_pow2(w));
-      s = s - SInt{u};
-    }
-    digits.push_back(u);
-    s = s.half();
-  }
+  const std::vector<int> digits = mpint::wnaf_digits(k, w);
   // Precompute odd multiples 1P, 3P, ..., (2^(w-1)-1)P.
   std::vector<AffinePoint> odd;
   odd.push_back(p);
@@ -199,7 +193,8 @@ AffinePoint mul_ladder(CurveOps& ops, const AffinePoint& p, const UInt& k,
     const Elem t2 = ops.fmul(xb, za);
     const Elem t3 = ops.fadd(t1, t2);
     za = ops.fsqr(t3);
-    xa = ops.fadd(ops.fmul(p.x, za), ops.fmul(t1, t2));
+    const Elem t12 = ops.fmul(t1, t2);
+    xa = ops.fadd(ops.fmul(p.x, za), t12);
   };
   auto mdouble = [&](Elem& x, Elem& z) {
     const Elem xx = ops.fsqr(x);

@@ -7,6 +7,7 @@
 // future-work item, section 5) are provided alongside.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "ec/ops.h"
@@ -50,6 +51,10 @@ AffinePoint mul_wtnaf(CurveOps& ops, const WtnafTable& table,
 /// `collapsed` as in make_wtnaf_table.
 LDPoint mul_wtnaf_ld(CurveOps& ops, const WtnafTable& table,
                      const mpint::UInt& k, bool* collapsed = nullptr);
+/// The same loop from k's digits, wtnaf_digits(partmod(k, curve), mu,
+/// table.w), for callers that multiply by one k many times.
+LDPoint mul_wtnaf_ld(CurveOps& ops, const WtnafTable& table,
+                     std::span<const int> digits, bool* collapsed = nullptr);
 
 /// Convenience: table build + multiply (the paper's random-point kP path).
 AffinePoint mul_wtnaf(CurveOps& ops, const AffinePoint& p,

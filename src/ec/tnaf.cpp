@@ -189,6 +189,20 @@ const std::vector<ZTau>& alpha_reps(int mu, unsigned w) {
   return window_consts(mu, w).alphas;
 }
 
+const std::vector<std::vector<int>>& alpha_digits(int mu, unsigned w) {
+  const std::vector<ZTau>& alphas = alpha_reps(mu, w);
+  // Its own once-table: the width-2 recoding reads window_consts(mu, 2),
+  // which must not be under construction here.
+  constexpr std::size_t kWidths = 7;  // w = 2..8
+  static std::array<std::once_flag, 2 * kWidths> once;
+  static std::array<std::vector<std::vector<int>>, 2 * kWidths> table;
+  const std::size_t i = (mu > 0 ? kWidths : 0) + (w - 2);
+  std::call_once(once[i], [&] {
+    for (const ZTau& a : alphas) table[i].push_back(wtnaf_digits(a, mu, 2));
+  });
+  return table[i];
+}
+
 std::vector<int> wtnaf_digits(const ZTau& rho, int mu, unsigned w) {
   const TauRing ring(mu);
   const WindowConsts& window = window_consts(mu, w);

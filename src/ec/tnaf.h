@@ -95,6 +95,10 @@ std::uint32_t tau_mod_2w(int mu, unsigned w);
 /// [2, 8]; each (mu, w) table is built once, on first use.
 const std::vector<ZTau>& alpha_reps(int mu, unsigned w);
 
+/// The width-2 TNAF digits of each alpha_u, in alpha_reps' layout: how
+/// a wTNAF table evaluates alpha_u * P. Built once per (mu, w).
+const std::vector<std::vector<int>>& alpha_digits(int mu, unsigned w);
+
 /// Width-w TNAF digits of rho, little-endian (digit i weights tau^i).
 /// A non-zero digit u (odd, |u| < 2^(w-1)) denotes sign(u) * alpha_|u|;
 /// at most one non-zero digit appears in any w consecutive positions.

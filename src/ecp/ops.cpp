@@ -69,37 +69,40 @@ AffinePointP PrimeCurveOps::add(const AffinePointP& p, const AffinePointP& q) {
 
 JacobianPoint PrimeCurveOps::to_jacobian(const AffinePointP& p) const {
   if (p.inf) return JacobianPoint::infinity();
-  return {p.x, p.y, c_.mont->one()};
+  return {c_.mont->load(p.x), c_.mont->load(p.y), one_};
 }
 
 AffinePointP PrimeCurveOps::to_affine(const JacobianPoint& p) {
   if (p.is_inf()) return AffinePointP::infinity();
-  const UInt zi = finv(p.Z);
-  const UInt zi2 = fsqr(zi);
-  return {fmul(p.X, zi2), fmul(p.Y, fmul(zi2, zi)), false};
+  const Fe zi = finv(p.Z);
+  const Fe zi2 = fsqr(zi);
+  const Fe x = fmul(p.X, zi2);
+  const Fe zi3 = fmul(zi2, zi);
+  const Fe y = fmul(p.Y, zi3);
+  return {c_.mont->store(x), c_.mont->store(y), false};
 }
 
 void PrimeCurveOps::jac_double(JacobianPoint& p) {
   if (p.is_inf()) return;
-  if (p.Y.is_zero()) {
+  if (mpint::is_zero(p.Y)) {
     p = JacobianPoint::infinity();
     return;
   }
   // dbl-2001-b with a = -3: 3M + 5S.
-  const UInt delta = fsqr(p.Z);
-  const UInt gamma = fsqr(p.Y);
-  const UInt beta = fmul(p.X, gamma);
-  const UInt t = fmul(fsub(p.X, delta), fadd(p.X, delta));
-  const UInt alpha = fadd(fadd(t, t), t);
-  const UInt beta4 = fadd(fadd(beta, beta), fadd(beta, beta));
-  const UInt beta8 = fadd(beta4, beta4);
-  const UInt x3 = fsub(fsqr(alpha), beta8);
-  UInt z3 = fsqr(fadd(p.Y, p.Z));
+  const Fe delta = fsqr(p.Z);
+  const Fe gamma = fsqr(p.Y);
+  const Fe beta = fmul(p.X, gamma);
+  const Fe t = fmul(fsub(p.X, delta), fadd(p.X, delta));
+  const Fe alpha = fadd(fadd(t, t), t);
+  const Fe beta4 = fadd(fadd(beta, beta), fadd(beta, beta));
+  const Fe beta8 = fadd(beta4, beta4);
+  const Fe x3 = fsub(fsqr(alpha), beta8);
+  Fe z3 = fsqr(fadd(p.Y, p.Z));
   z3 = fsub(fsub(z3, gamma), delta);
-  const UInt g2 = fsqr(gamma);
-  const UInt g8 = fadd(fadd(fadd(g2, g2), fadd(g2, g2)),
-                       fadd(fadd(g2, g2), fadd(g2, g2)));
-  const UInt y3 = fsub(fmul(alpha, fsub(beta4, x3)), g8);
+  const Fe g2 = fsqr(gamma);
+  const Fe g8 = fadd(fadd(fadd(g2, g2), fadd(g2, g2)),
+                     fadd(fadd(g2, g2), fadd(g2, g2)));
+  const Fe y3 = fsub(fmul(alpha, fsub(beta4, x3)), g8);
   p = {x3, y3, z3};
 }
 
@@ -109,26 +112,31 @@ void PrimeCurveOps::jac_add_mixed(JacobianPoint& p, const AffinePointP& q) {
     p = to_jacobian(q);
     return;
   }
+  const Fe qx = c_.mont->load(q.x);
+  const Fe qy = c_.mont->load(q.y);
   // 8M + 3S mixed addition.
-  const UInt z1z1 = fsqr(p.Z);
-  const UInt u2 = fmul(q.x, z1z1);
-  const UInt s2 = fmul(q.y, fmul(p.Z, z1z1));
-  const UInt h = fsub(u2, p.X);
-  const UInt r = fsub(s2, p.Y);
-  if (h.is_zero()) {
-    if (r.is_zero()) {
+  const Fe z1z1 = fsqr(p.Z);
+  const Fe u2 = fmul(qx, z1z1);
+  const Fe s2 = fmul(qy, fmul(p.Z, z1z1));
+  const Fe h = fsub(u2, p.X);
+  const Fe r = fsub(s2, p.Y);
+  if (mpint::is_zero(h)) {
+    if (mpint::is_zero(r)) {
       jac_double(p);
     } else {
       p = JacobianPoint::infinity();
     }
     return;
   }
-  const UInt hh = fsqr(h);
-  const UInt hhh = fmul(h, hh);
-  const UInt v = fmul(p.X, hh);
-  UInt x3 = fsub(fsub(fsqr(r), hhh), fadd(v, v));
-  const UInt y3 = fsub(fmul(r, fsub(v, x3)), fmul(p.Y, hhh));
-  const UInt z3 = fmul(p.Z, h);
+  const Fe hh = fsqr(h);
+  const Fe hhh = fmul(h, hh);
+  const Fe v = fmul(p.X, hh);
+  const Fe x3 = fsub(fsub(fsqr(r), hhh), fadd(v, v));
+  // Sequenced by hand: argument order is unspecified, and the tamper
+  // hook's numbering must not depend on the compiler.
+  const Fe y1hhh = fmul(p.Y, hhh);
+  const Fe y3 = fsub(fmul(r, fsub(v, x3)), y1hhh);
+  const Fe z3 = fmul(p.Z, h);
   p = {x3, y3, z3};
 }
 
@@ -144,22 +152,21 @@ AffinePointP mul_naive_p(PrimeCurveOps& ops, const AffinePointP& p,
 
 AffinePointP mul_wnaf_p(PrimeCurveOps& ops, const AffinePointP& p,
                         const UInt& k, unsigned w, bool* collapsed) {
-  std::vector<int> digits;
-  mpint::SInt s{k, false};
-  while (!s.is_zero()) {
-    int u = 0;
-    if (s.is_odd()) {
-      u = static_cast<int>(s.mods_pow2(w));
-      s = s - mpint::SInt{u};
-    }
-    digits.push_back(u);
-    s = s.half();
-  }
+  return mul_wnaf_p(ops, p, mpint::wnaf_digits(k, w), w, collapsed);
+}
+
+AffinePointP mul_wnaf_p(PrimeCurveOps& ops, const AffinePointP& p,
+                        std::span<const int> digits, unsigned w,
+                        bool* collapsed) {
+  // Odd multiples 1P, 3P, ... and their negatives, so the loop below
+  // only adds (neg is uncounted, as in the per-digit form).
   std::vector<AffinePointP> odd{p};
   const AffinePointP p2 = ops.dbl(p);
   for (unsigned i = 1; i < (1u << (w - 2)); ++i) {
     odd.push_back(ops.add(odd.back(), p2));
   }
+  std::vector<AffinePointP> neg_odd;
+  for (const AffinePointP& o : odd) neg_odd.push_back(ops.neg(o));
   JacobianPoint q = JacobianPoint::infinity();
   // The identity-collapse invariant of the binary wTNAF (scalarmul.cpp):
   // every partial sum is a nonzero multiple of P below its order, so an
@@ -179,9 +186,9 @@ AffinePointP mul_wnaf_p(PrimeCurveOps& ops, const AffinePointP& p,
     ops.jac_double(q);
     const int u = digits[i];
     if (u != 0) {
-      const AffinePointP& pu = odd[static_cast<std::size_t>(std::abs(u)) / 2];
+      const std::size_t j = static_cast<std::size_t>(std::abs(u)) / 2;
       watch();
-      ops.jac_add_mixed(q, u > 0 ? pu : ops.neg(pu));
+      ops.jac_add_mixed(q, u > 0 ? odd[j] : neg_odd[j]);
     }
   }
   return ops.to_affine(q);

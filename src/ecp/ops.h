@@ -1,14 +1,23 @@
 // Prime-curve point arithmetic: Jacobian coordinates over the Montgomery
 // domain, with field-operation counting mirroring ec::CurveOps so prime
 // and binary implementations can be costed with the same machinery.
+//
+// Two field-element forms: affine points (the oracle, imports, results)
+// hold mpint::UInt, while Jacobian points and the counted operations on
+// them work on fixed-width stack words (Fe), so the wNAF Horner loop
+// allocates nothing.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <span>
 
 #include "ecp/curve.h"
 
 namespace eccm0::ecp {
+
+/// A field element in the Montgomery domain as fixed-width words.
+using Fe = mpint::Montgomery::Fe;
 
 /// Affine point, coordinates in the Montgomery domain. `inf` marks the
 /// identity.
@@ -22,11 +31,11 @@ struct AffinePointP {
 
 /// Jacobian point: x = X/Z^2, y = Y/Z^3, in the Montgomery domain.
 struct JacobianPoint {
-  mpint::UInt X;
-  mpint::UInt Y;
-  mpint::UInt Z;  ///< zero = infinity
+  Fe X{};
+  Fe Y{};
+  Fe Z{};  ///< zero = infinity
 
-  bool is_inf() const { return Z.is_zero(); }
+  bool is_inf() const { return mpint::is_zero(Z); }
   static JacobianPoint infinity() { return {}; }
 };
 
@@ -44,11 +53,11 @@ class PrimeCurveOps {
   /// both in-domain operands) and may overwrite the result in place.
   /// Installed only by fault campaigns; normal runs pay one branch per
   /// fmul.
-  using MulTamper = std::function<void(
-      std::uint64_t index, const mpint::UInt& a, const mpint::UInt& b,
-      mpint::UInt& r)>;
+  using MulTamper = std::function<void(std::uint64_t index, const Fe& a,
+                                       const Fe& b, Fe& r)>;
 
-  explicit PrimeCurveOps(const PrimeCurve& c) : c_(c) {}
+  explicit PrimeCurveOps(const PrimeCurve& c)
+      : c_(c), one_(c.mont->load(c.mont->one())) {}
 
   const PrimeCurve& curve() const { return c_; }
   const PrimeOpCounts& counts() const { return counts_; }
@@ -68,12 +77,32 @@ class PrimeCurveOps {
   /// The curve generator, imported.
   AffinePointP generator() const;
 
-  mpint::UInt fmul(const mpint::UInt& a, const mpint::UInt& b) {
+  // Counted field operations, on Fe words and (for the affine oracle)
+  // on UInt; both forms share the counters and the tamper numbering.
+  Fe fmul(const Fe& a, const Fe& b) {
     ++counts_.mul;
-    if (!tamper_) [[likely]] return c_.mont->mul(a, b);
-    mpint::UInt r = c_.mont->mul(a, b);
-    tamper_(mul_index_++, a, b, r);
+    Fe r = c_.mont->mul(a, b);
+    if (tamper_) [[unlikely]] tamper_(mul_index_++, a, b, r);
     return r;
+  }
+  Fe fsqr(const Fe& a) {
+    ++counts_.sqr;
+    return c_.mont->mul(a, a);
+  }
+  Fe finv(const Fe& a) {
+    ++counts_.inv;
+    return c_.mont->inv(a);
+  }
+  Fe fadd(const Fe& a, const Fe& b) {
+    ++counts_.add;
+    return c_.mont->add(a, b);
+  }
+  Fe fsub(const Fe& a, const Fe& b) {
+    ++counts_.add;
+    return c_.mont->sub(a, b);
+  }
+  mpint::UInt fmul(const mpint::UInt& a, const mpint::UInt& b) {
+    return c_.mont->store(fmul(c_.mont->load(a), c_.mont->load(b)));
   }
   mpint::UInt fsqr(const mpint::UInt& a) {
     ++counts_.sqr;
@@ -109,6 +138,7 @@ class PrimeCurveOps {
 
  private:
   const PrimeCurve& c_;
+  Fe one_;  ///< 1 in the Montgomery domain
   PrimeOpCounts counts_;
   MulTamper tamper_;
   std::uint64_t mul_index_ = 0;
@@ -121,6 +151,11 @@ class PrimeCurveOps {
 /// collapse, which an honest run with 0 < k < ord(P) never makes.
 AffinePointP mul_wnaf_p(PrimeCurveOps& ops, const AffinePointP& p,
                         const mpint::UInt& k, unsigned w,
+                        bool* collapsed = nullptr);
+/// The same multiplication from k's width-w NAF digits
+/// (mpint::wnaf_digits), for callers that multiply by one k many times.
+AffinePointP mul_wnaf_p(PrimeCurveOps& ops, const AffinePointP& p,
+                        std::span<const int> digits, unsigned w,
                         bool* collapsed = nullptr);
 /// Reference oracle: affine double-and-add.
 AffinePointP mul_naive_p(PrimeCurveOps& ops, const AffinePointP& p,

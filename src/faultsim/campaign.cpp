@@ -57,7 +57,8 @@ namespace {
 /// (gen.h layout, 0x000..0x280). RAM flips land here.
 constexpr std::uint32_t kKernelDataWords = asmkernels::kSqrTabOff / 4;
 constexpr std::size_t kKernelRamSize = 0x800;
-/// Clean kernel runs ~2k instructions; anything past this looped.
+/// A clean kernel call retires a few thousand instructions (`mul` 3126,
+/// `p192-mont` 3647); anything past this looped.
 constexpr std::uint64_t kKernelBudget = 200'000;
 /// A spec whose trigger never comes: the kernel runs clean.
 constexpr FaultSpec kNoFault{.index = ~std::uint64_t{0}};
@@ -209,6 +210,9 @@ class GoldenKp {
   std::size_t product_words_ = 0;
   std::uint64_t muls_per_kp_ = 0;
   UInt k_;
+  /// k recoded once for every run: width-4 TNAF digits of k partmod
+  /// delta (binary) or width-4 NAF digits (prime).
+  std::vector<int> k_digits_;
   AffinePoint p_;                     ///< binary family
   AffinePoint golden_;
   ecp::AffinePointP pp_;              ///< prime family
@@ -233,10 +237,11 @@ GoldenKp::GoldenKp(const std::string& curve, std::uint64_t seed)
     pp_ = ecp::mul_wnaf_p(ops, ops.generator(),
                           nonzero_below(rng, pcurve_->order), 4);
     k_ = nonzero_below(rng, pcurve_->order);
+    k_digits_ = mpint::wnaf_digits(k_, 4);
     // The golden kP runs on fresh ops, so its multiplication count is
     // the splice target space.
     ecp::PrimeCurveOps golden_ops(*pcurve_);
-    pgolden_ = ecp::mul_wnaf_p(golden_ops, pp_, k_, 4);
+    pgolden_ = ecp::mul_wnaf_p(golden_ops, pp_, k_digits_, 4);
     muls_per_kp_ = golden_ops.counts().mul;
     return;
   }
@@ -254,12 +259,13 @@ GoldenKp::GoldenKp(const std::string& curve, std::uint64_t seed)
   p_ = ec::mul_wtnaf(ops, AffinePoint::make(curve_.gx, curve_.gy),
                      nonzero_below(rng, curve_.order), 4);
   k_ = nonzero_below(rng, curve_.order);
+  k_digits_ = ec::wtnaf_digits(ec::partmod(k_, curve_), curve_.mu, 4);
   // The golden kP on fresh ops: the fmul calls of its table build and
   // Horner loop are the sample space for which multiplication gets the
   // fault (the final normalisation is outside it).
   CurveOps golden_ops(curve_);
   const ec::WtnafTable t = ec::make_wtnaf_table(golden_ops, p_, 4);
-  const ec::LDPoint q = ec::mul_wtnaf_ld(golden_ops, t, k_);
+  const ec::LDPoint q = ec::mul_wtnaf_ld(golden_ops, t, k_digits_);
   muls_per_kp_ = golden_ops.counts().mul;
   golden_ = golden_ops.to_affine(q);
 }
@@ -324,19 +330,21 @@ RunObservation GoldenKp::observe(std::uint64_t target,
   try {
     if (prime()) {
       ecp::PrimeCurveOps ops(*pcurve_);
-      ops.set_mul_tamper([&](std::uint64_t idx, const UInt& a, const UInt& b,
-                             UInt& out) {
+      ops.set_mul_tamper([&](std::uint64_t idx, const ecp::Fe& a,
+                             const ecp::Fe& b, ecp::Fe& out) {
         if (fired || idx != target) return;
         fired = true;
         // The splice boundary reduces the (possibly faulted) raw kernel
         // output into [0, p): the host Montgomery oracle's add/sub
         // assume reduced operands, and a fault that escapes the field
         // is still a wrong in-field value afterwards.
-        out = UInt(run_spliced(limbs(a), limbs(b), model, run_kernel, obs)) %
-              pcurve_->p;
+        const std::span<const std::uint32_t> aw(a.data(), ref_.limbs);
+        const std::span<const std::uint32_t> bw(b.data(), ref_.limbs);
+        out = pcurve_->mont->load(
+            UInt(run_spliced(aw, bw, model, run_kernel, obs)) % pcurve_->p);
       });
       const ecp::AffinePointP q =
-          ecp::mul_wnaf_p(ops, pp_, k_, 4, &obs.collapsed);
+          ecp::mul_wnaf_p(ops, pp_, k_digits_, 4, &obs.collapsed);
       obs.inf = q.inf;
       obs.oncurve = q.inf ? true : ops.on_curve(q);
       obs.wrong = !ops.eq(q, pgolden_);
@@ -356,7 +364,8 @@ RunObservation GoldenKp::observe(std::uint64_t target,
         std::copy(product.begin(), product.end(), out.begin());
       });
       const ec::WtnafTable t = ec::make_wtnaf_table(ops, p_, 4, &obs.collapsed);
-      const ec::LDPoint q_ld = ec::mul_wtnaf_ld(ops, t, k_, &obs.collapsed);
+      const ec::LDPoint q_ld =
+          ec::mul_wtnaf_ld(ops, t, k_digits_, &obs.collapsed);
       obs.inf = q_ld.is_inf();
       obs.oncurve = ops.on_curve_ld(q_ld);
       const AffinePoint q = ops.to_affine(q_ld);

@@ -1,8 +1,5 @@
 #include "faultsim/inject.h"
 
-#include <utility>
-#include <vector>
-
 #include "armvm/codec.h"
 #include "armvm/isa.h"
 
@@ -43,14 +40,10 @@ FaultSpec sample_spec(Rng& rng, FaultModel model, std::uint64_t max_index,
 
 namespace {
 
-/// Apply `spec` to the stopped core. `extra` accumulates instructions and
-/// cycles retired outside the main core (the opcode-flip model executes
-/// the corrupted instruction on a scratch core). Returns false when the
-/// injected instruction itself halted the program.
+/// Apply `spec` to the stopped core. Returns false when the injected
+/// instruction itself halted the program.
 bool apply_fault(armvm::Cpu& cpu, armvm::Memory& ram,
-                 const armvm::Program& prog, const FaultSpec& spec,
-                 std::uint64_t& extra_instructions,
-                 std::uint64_t& extra_cycles) {
+                 const armvm::Program& prog, const FaultSpec& spec) {
   switch (spec.model) {
     case FaultModel::kRegisterFlip:
       cpu.set_reg(spec.reg, cpu.reg(spec.reg) ^ (1u << spec.bit));
@@ -76,26 +69,14 @@ bool apply_fault(armvm::Cpu& cpu, armvm::Memory& ram,
     }
     case FaultModel::kOpcodeFlip: {
       const std::uint32_t pc = cpu.reg(armvm::kPC);
-      const std::size_t idx = pc / 2;
-      if (pc % 2 != 0 || idx >= prog.code().size()) {
+      if (pc % 2 != 0 || pc / 2 >= prog.code().size()) {
         // PC already derailed; the next step faults on its own.
         return true;
       }
-      // The corruption is transient (one fetch), so the pristine
-      // predecode cache of the main core must not see it: execute the
-      // one corrupted instruction on a scratch per-step core sharing
-      // RAM, then hand the architectural state back.
-      std::vector<std::uint16_t> corrupted = prog.code();
-      corrupted[idx] = static_cast<std::uint16_t>(
-          corrupted[idx] ^ (1u << spec.bit));
-      armvm::Cpu scratch(std::move(corrupted), ram,
-                         armvm::Cpu::DecodeMode::kPerStep);
-      scratch.set_arch_state(cpu.arch_state());
-      const bool running = scratch.step();  // typed Fault => crash
-      cpu.set_arch_state(scratch.arch_state());
-      extra_instructions += scratch.stats().instructions;
-      extra_cycles += scratch.stats().cycles;
-      return running;
+      // The corruption is transient (one fetch): the core decodes and
+      // executes the flipped halfword once, and the shared image and
+      // its predecode cache never see it.
+      return cpu.step_corrupted(static_cast<std::uint16_t>(1u << spec.bit));
     }
   }
   return true;
@@ -111,28 +92,27 @@ InjectedRun run_with_fault(const armvm::ProgramRef& prog, armvm::Memory& ram,
   cpu.set_reg(armvm::kLR, armvm::kReturnSentinel);
   cpu.set_reg(armvm::kPC, prog->entry("entry"));
   InjectedRun out;
-  std::uint64_t extra_instructions = 0;
-  std::uint64_t extra_cycles = 0;
   try {
-    bool running = true;
-    while (running && cpu.stats().instructions < spec.index) {
-      running = cpu.step();
-    }
+    // Up to the trigger in bulk: run_for stops on the same instruction
+    // for every engine, or earlier at a halt.
+    cpu.run_for(spec.index);
+    bool running = !cpu.halted();
     if (running) {
       out.injected = true;
-      running = apply_fault(cpu, ram, *prog, spec, extra_instructions,
-                            extra_cycles);
+      running = apply_fault(cpu, ram, *prog, spec);
     }
-    while (running) {
-      if (cpu.stats().instructions + extra_instructions > max_instructions) {
-        // Watchdog: a fault that sends the core into an endless loop is
-        // observable on a real node as a reset, not a wrong answer.
+    if (running) {
+      // Watchdog: a fault that sends the core into an endless loop is
+      // observable on a real node as a reset, not a wrong answer. It
+      // trips once max_instructions + 1 have retired without a halt.
+      const std::uint64_t done = cpu.stats().instructions;
+      if (done <= max_instructions) cpu.run_for(max_instructions + 1 - done);
+      if (!cpu.halted()) {
         armvm::BudgetFault f("faultsim: watchdog budget exceeded",
                              cpu.reg(armvm::kPC));
         f.attach_state(cpu.arch_state());
         throw f;
       }
-      running = cpu.step();
     }
   } catch (const armvm::Fault& f) {
     out.outcome = RunOutcome::kCrashed;
@@ -140,8 +120,8 @@ InjectedRun run_with_fault(const armvm::ProgramRef& prog, armvm::Memory& ram,
     out.fault_message = f.message();
     if (f.has_state()) out.fault_state = f.state();
   }
-  out.instructions = cpu.stats().instructions + extra_instructions;
-  out.cycles = cpu.stats().cycles + extra_cycles;
+  out.instructions = cpu.stats().instructions;
+  out.cycles = cpu.stats().cycles;
   return out;
 }
 

@@ -65,6 +65,8 @@ struct InjectedRun {
   armvm::FaultKind fault_kind = armvm::FaultKind::kBusFault;
   std::string fault_message;
   armvm::ArchState fault_state;
+
+  friend bool operator==(const InjectedRun&, const InjectedRun&) = default;
 };
 
 /// Execute `prog` (entry label "entry", no arguments) against `ram`,
@@ -72,11 +74,12 @@ struct InjectedRun {
 /// faults — they are the experiment, and come back classified.
 ///
 /// `engine` selects the execution engine of the injected core (the
-/// `--engine=` flag of the campaign harnesses). The injector always
-/// retires one instruction per step — the trigger is a retirement
-/// index, and the watchdog counts between retirements — so outcomes
-/// are bit-identical across engines; the engine choice A/Bs the decode
-/// path (per-step decode vs the shared predecode cache).
+/// `--engine=` flag of the campaign harnesses). The instructions before
+/// and after the fault point run through it in bulk (Cpu::run_for),
+/// which every engine stops on the same retirement index, so the
+/// trigger and the watchdog (max_instructions + 1 retired) fire at the
+/// same point and outcomes are bit-identical across engines; only the
+/// fault point itself is stepped.
 InjectedRun run_with_fault(
     const armvm::ProgramRef& prog, armvm::Memory& ram, const FaultSpec& spec,
     std::uint64_t max_instructions = 1'000'000,

@@ -1,9 +1,18 @@
 #include "gf2/k233.h"
 
 #include <cassert>
+#include <cstdint>
 #include <span>
 
 #include "gf2/sqr_table.h"
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#define ECCM0_K233_CLMUL 1
+#define ECCM0_CLMUL_TARGET __attribute__((target("pclmul,sse2")))
+#else
+#define ECCM0_K233_CLMUL 0
+#endif
 
 namespace eccm0::gf2::k233 {
 namespace {
@@ -59,7 +68,114 @@ void mul_comb(std::array<Word, 2 * N>& v, const std::array<Word, N>& x,
   }
 }
 
+#if ECCM0_K233_CLMUL
+
+using U64 = std::uint64_t;
+/// An element as four little-endian 64-bit words; a product as eight.
+using Fe64 = std::array<U64, 4>;
+using Prod64 = std::array<U64, 8>;
+
+inline Fe64 widen(const Fe& a) {
+  Fe64 w;
+  for (std::size_t i = 0; i < 4; ++i) {
+    w[i] = a[2 * i] | (static_cast<U64>(a[2 * i + 1]) << 32);
+  }
+  return w;
+}
+
+/// The 128-bit carry-less product a * b as (lo, hi).
+ECCM0_CLMUL_TARGET inline void clmul(U64 a, U64 b, U64& lo, U64& hi) {
+  const __m128i p =
+      _mm_clmulepi64_si128(_mm_cvtsi64_si128(static_cast<long long>(a)),
+                           _mm_cvtsi64_si128(static_cast<long long>(b)), 0x00);
+  lo = static_cast<U64>(_mm_cvtsi128_si64(p));
+  hi = static_cast<U64>(_mm_cvtsi128_si64(_mm_unpackhi_epi64(p, p)));
+}
+
+/// (a1:a0) * (b1:b0) into r[0..3]: one Karatsuba level, 3 multiplies.
+ECCM0_CLMUL_TARGET inline void mul128(U64 a0, U64 a1, U64 b0, U64 b1,
+                                      U64* r) {
+  U64 l0, l1, h0, h1, m0, m1;
+  clmul(a0, b0, l0, l1);
+  clmul(a1, b1, h0, h1);
+  clmul(a0 ^ a1, b0 ^ b1, m0, m1);
+  m0 ^= l0 ^ h0;
+  m1 ^= l1 ^ h1;
+  r[0] = l0;
+  r[1] = l1 ^ m0;
+  r[2] = h0 ^ m1;
+  r[3] = h1;
+}
+
+/// The 512-bit product of two 256-bit operands: Karatsuba over the
+/// 128-bit halves, each half product Karatsuba again — 9 multiplies.
+ECCM0_CLMUL_TARGET inline Prod64 mul256(const Fe64& a, const Fe64& b) {
+  U64 l[4], h[4], m[4];
+  mul128(a[0], a[1], b[0], b[1], l);
+  mul128(a[2], a[3], b[2], b[3], h);
+  mul128(a[0] ^ a[2], a[1] ^ a[3], b[0] ^ b[2], b[1] ^ b[3], m);
+  for (int i = 0; i < 4; ++i) m[i] ^= l[i] ^ h[i];
+  return {l[0], l[1], l[2] ^ m[0], l[3] ^ m[1],
+          h[0] ^ m[2], h[1] ^ m[3], h[2], h[3]};
+}
+
+ECCM0_CLMUL_TARGET inline Prod64 sqr256(const Fe64& a) {
+  Prod64 p;
+  for (std::size_t i = 0; i < 4; ++i) {
+    clmul(a[i], a[i], p[2 * i], p[2 * i + 1]);
+  }
+  return p;
+}
+
+/// `reduce` on 64-bit words. Word i >= 4 sits 23 bits above the 233
+/// boundary of word i-4 (256 - 233) and 97 = 64 + 33 bits above it for
+/// the z^74 term.
+inline Fe fold64(Prod64 c) {
+  for (int i = 7; i >= 4; --i) {
+    const U64 t = c[i];
+    c[i - 4] ^= t << 23;
+    c[i - 3] ^= (t >> 41) ^ (t << 33);
+    c[i - 2] ^= t >> 31;
+  }
+  const U64 t = c[3] >> 41;  // bits 233..255
+  c[0] ^= t;
+  c[1] ^= t << 10;
+  c[3] &= (U64{1} << 41) - 1;
+  Fe r;
+  for (std::size_t i = 0; i < 4; ++i) {
+    r[2 * i] = static_cast<Word>(c[i]);
+    r[2 * i + 1] = static_cast<Word>(c[i] >> 32);
+  }
+  return r;
+}
+
+// The two entry points: everything above inlines into them, so a
+// product never leaves registers between the multiply and the fold.
+ECCM0_CLMUL_TARGET Fe mul_clmul(const Fe& a, const Fe& b) {
+  return fold64(mul256(widen(a), widen(b)));
+}
+
+ECCM0_CLMUL_TARGET Fe sqr_clmul(const Fe& a) {
+  return fold64(sqr256(widen(a)));
+}
+
+bool detect_clmul() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("pclmul");
+}
+
+#else
+
+bool detect_clmul() { return false; }
+
+#endif
+
 }  // namespace
+
+bool has_clmul() {
+  static const bool kHave = detect_clmul();
+  return kHave;
+}
 
 int degree(const Fe& a) { return poly_degree(std::span<const Word>(a)); }
 
@@ -156,6 +272,12 @@ void sqr_expand(Prod& v, const Fe& a) {
 }
 
 void sqr(Fe& r, const Fe& a) {
+#if ECCM0_K233_CLMUL
+  if (has_clmul()) {
+    r = sqr_clmul(a);
+    return;
+  }
+#endif
   // The expansion's upper half never reaches memory on the target: the
   // paper folds each upper word as it is produced. On the host we express
   // the same computation as expand + top-down fold; the memory behaviour
@@ -166,6 +288,9 @@ void sqr(Fe& r, const Fe& a) {
 }
 
 Fe mul(const Fe& a, const Fe& b) {
+#if ECCM0_K233_CLMUL
+  if (has_clmul()) return mul_clmul(a, b);
+#endif
   Prod p;
   mul_ld(p, a, b);
   Fe r;

@@ -7,8 +7,16 @@
 //   * mul_shift_add  — bit-serial reference (test oracle)
 //   * mul_ld         — plain Lopez-Dahab, window w = 4 (paper method A)
 //   * mul_karatsuba  — Karatsuba-Ofman over two 4-word halves (related work)
-// All produce identical 16-word products; `mul` composes the fast LD path
-// with the word-at-a-time trinomial reduction.
+// All produce identical 16-word products.
+//
+// `mul` and `sqr` pick their path once, at run time: on a CPU with
+// carry-less multiply (x86-64 PCLMULQDQ) they work on four 64-bit words —
+// a two-level Karatsuba product (9 carry-less multiplies, the 4x64-bit
+// split of Dyka & Langendoerfer's iterated Karatsuba) or 4 carry-less
+// squares, then a 64-bit fold of z^233 + z^74 + 1. Everywhere else they
+// compose mul_ld / sqr_expand with the word-at-a-time `reduce`; those
+// stay plain functions in every build, the portable path and the oracle
+// the fast one is tested against. Both give the same reduced element.
 #pragma once
 
 #include <array>
@@ -74,12 +82,17 @@ void reduce(Fe& r, const Prod& c);
 /// Table-based squaring expansion (no reduction): v = a(z)^2.
 void sqr_expand(Prod& v, const Fe& a);
 
-/// Modular squaring, expansion interleaved with reduction so the upper
-/// half is folded as it is produced (paper section 3.2.4).
+/// Modular squaring: 4 carry-less squares + 64-bit fold where available,
+/// sqr_expand + reduce otherwise (the interleaved form of paper section
+/// 3.2.4 is what the traced variant models).
 void sqr(Fe& r, const Fe& a);
 
-/// Modular multiplication (LD w = 4 + trinomial reduction).
+/// Modular multiplication: the 4x64-bit carry-less Karatsuba product +
+/// 64-bit fold where available, LD w = 4 + reduce otherwise.
 Fe mul(const Fe& a, const Fe& b);
+
+/// True when this CPU runs `mul` and `sqr` on carry-less multiplies.
+bool has_clmul();
 
 /// Inversion by the Extended Euclidean Algorithm for binary polynomials
 /// (paper section 3.2.3). Precondition: a != 0.

@@ -79,4 +79,19 @@ SInt SInt::half() const {
   return SInt{mag_ >> 1, neg_};
 }
 
+std::vector<int> wnaf_digits(const UInt& k, unsigned w) {
+  std::vector<int> digits;
+  SInt s{k, false};
+  while (!s.is_zero()) {
+    int u = 0;
+    if (s.is_odd()) {
+      u = static_cast<int>(s.mods_pow2(w));
+      s = s - SInt{u};
+    }
+    digits.push_back(u);
+    s = s.half();
+  }
+  return digits;
+}
+
 }  // namespace eccm0::mpint

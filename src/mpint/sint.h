@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "mpint/uint.h"
 
@@ -67,5 +68,9 @@ class SInt {
   UInt mag_;
   bool neg_ = false;
 };
+
+/// Width-w NAF digits of k, little-endian: each nonzero digit is odd,
+/// with |u| < 2^(w-1), and is followed by at least w-1 zeros.
+std::vector<int> wnaf_digits(const UInt& k, unsigned w);
 
 }  // namespace eccm0::mpint

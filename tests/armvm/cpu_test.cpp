@@ -28,6 +28,40 @@ fn: movs r0, #7
   EXPECT_EQ(s.cycles, 1u + 2u);  // movs 1 + bx 2
 }
 
+// A transient fetch fault: the flipped halfword is what the one step
+// decodes and what its own code-space loads read; the next fetch of the
+// slot is pristine again, and an undecodable flip faults at the slot.
+TEST(Cpu, StepCorruptedFlipsOneFetch) {
+  Machine m(R"(
+fn: movs r2, #0
+    ldrh r0, [r1, #0]
+    bx lr
+)");
+  const std::uint16_t ldrh = m.program->code()[1];
+  m.cpu.set_reg(kPC, 2);
+  m.cpu.set_reg(1, 2);  // the ldrh's own address
+  ASSERT_TRUE(m.cpu.step_corrupted(0x0001));  // ldrh r1, [r1, #0]
+  EXPECT_EQ(m.cpu.reg(1), ldrh ^ 1u);
+  EXPECT_EQ(m.cpu.reg(0), 0u);
+  EXPECT_EQ(m.cpu.reg(kPC), 4u);
+  EXPECT_EQ(m.cpu.stats().instructions, 1u);
+  EXPECT_EQ(m.cpu.stats().cycles, 2u);
+
+  m.cpu.set_reg(kPC, 2);
+  m.cpu.set_reg(1, 2);
+  ASSERT_TRUE(m.cpu.step());
+  EXPECT_EQ(m.cpu.reg(0), ldrh);
+
+  m.cpu.set_reg(kPC, 2);
+  try {
+    m.cpu.step_corrupted(0x6000);  // 0xE8xx: a 32-bit prefix
+    FAIL() << "no decode fault";
+  } catch (const DecodeFault& f) {
+    EXPECT_EQ(f.address(), 2u);
+    EXPECT_EQ(f.state().r[kPC], 2u);
+  }
+}
+
 TEST(Cpu, AddSubFlags) {
   Machine m(R"(
 fn: movs r0, #0

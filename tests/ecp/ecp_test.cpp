@@ -72,6 +72,42 @@ TEST_P(PrimeCurveTest, JacobianSpecialCases) {
   EXPECT_TRUE(ops_.eq(ops_.to_affine(j), d));
 }
 
+// The fixed-width Jacobian double and mixed add against the affine
+// oracle, special cases included: P + P, P + (-P), and the identity on
+// either side.
+TEST_P(PrimeCurveTest, FixedWidthJacobianMatchesAffineOracle) {
+  Rng rng(22);
+  const AffinePointP g = ops_.generator();
+  for (int i = 0; i < 12; ++i) {
+    const AffinePointP p =
+        mul_naive_p(ops_, g, UInt{1 + rng.next_below(1u << 20)});
+    const AffinePointP q =
+        mul_naive_p(ops_, g, UInt{1 + rng.next_below(1u << 20)});
+    const AffinePointP p2 = ops_.dbl(p);
+    JacobianPoint j = ops_.to_jacobian(p);
+    ops_.jac_double(j);  // 2P, with Z != 1 from here on
+    EXPECT_TRUE(ops_.eq(ops_.to_affine(j), p2));
+    JacobianPoint s = j;
+    ops_.jac_add_mixed(s, q);
+    EXPECT_TRUE(ops_.eq(ops_.to_affine(s), ops_.add(p2, q)));
+    s = j;
+    ops_.jac_add_mixed(s, p2);  // P + P
+    EXPECT_TRUE(ops_.eq(ops_.to_affine(s), ops_.dbl(p2)));
+    s = j;
+    ops_.jac_add_mixed(s, ops_.neg(p2));  // P + (-P)
+    EXPECT_TRUE(s.is_inf());
+    s = j;
+    ops_.jac_add_mixed(s, AffinePointP::infinity());
+    EXPECT_TRUE(ops_.eq(ops_.to_affine(s), p2));
+    s = JacobianPoint::infinity();
+    ops_.jac_add_mixed(s, q);
+    EXPECT_TRUE(ops_.eq(ops_.to_affine(s), q));
+    s = JacobianPoint::infinity();
+    ops_.jac_double(s);
+    EXPECT_TRUE(s.is_inf());
+  }
+}
+
 TEST_P(PrimeCurveTest, WnafMatchesNaive) {
   Rng rng(3);
   const AffinePointP g = ops_.generator();
@@ -133,8 +169,8 @@ TEST_P(PrimeCurveTest, ZeroedProductCollapseSetsFlag) {
   for (std::uint64_t target = mid; target < mid + 48; ++target) {
     PrimeCurveOps ops(c);
     ops.set_mul_tamper(
-        [target](std::uint64_t idx, const UInt&, const UInt&, UInt& r) {
-          if (idx == target) r = UInt{};
+        [target](std::uint64_t idx, const Fe&, const Fe&, Fe& r) {
+          if (idx == target) r = Fe{};
         });
     bool collapsed = false;
     const AffinePointP got = mul_wnaf_p(ops, g, k, 4, &collapsed);

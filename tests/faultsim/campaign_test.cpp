@@ -10,6 +10,8 @@
 #include "faultsim/campaign.h"
 #include "faultsim/inject.h"
 #include "gf2/k233.h"
+#include "workloads/registry.h"
+#include "workloads/spec.h"
 
 namespace eccm0::faultsim {
 namespace {
@@ -73,6 +75,133 @@ TEST(Inject, SameSpecSameOutcomeBitForBit) {
       EXPECT_EQ(run_once(spec), run_once(spec))
           << fault_model_name(m) << " spec not deterministic";
     }
+  }
+}
+
+/// Kernel RAM under `model` holding the standard operands of the kernel
+/// `info` describes (`mul` or a prime `-mont`).
+armvm::Memory standard_ram(const workloads::KernelInfo& info,
+                           const armvm::MemModelConfig& model) {
+  armvm::Memory mem(kRamSize, model);
+  if (info.binary_field) {
+    const workloads::KernelOperands& od = workloads::KernelOperands::standard();
+    workloads::load_mul_inputs(mem, od.x, od.y);
+  } else {
+    const workloads::CurveRef& curve = workloads::curve_from_name(info.curve);
+    const workloads::PrimeOperands& od =
+        workloads::PrimeOperands::standard(curve);
+    workloads::load_prime_modulus(mem, curve);
+    workloads::load_prime_mul_inputs(mem, od.x, od.y);
+  }
+  return mem;
+}
+
+/// One engine's run: the InjectedRun plus the whole RAM storage after
+/// it (data and check bytes), which holds the product words.
+struct EngineRun {
+  InjectedRun run;
+  std::vector<std::uint8_t> ram;
+  std::vector<std::uint8_t> check;
+};
+
+// The injector runs the instructions around the fault point in bulk on
+// the configured engine; the per-step engine is its reference. Every
+// field of the result and the RAM it leaves must agree.
+TEST(Inject, EveryEngineGivesTheSameRun) {
+  const armvm::Cpu::DecodeMode engines[] = {
+      armvm::Cpu::DecodeMode::kPerStep, armvm::Cpu::DecodeMode::kPredecode,
+      armvm::Cpu::DecodeMode::kThreaded};
+  for (const char* kernel : {"mul", "p192-mont"}) {
+    const armvm::ProgramRef prog = workloads::kernel(kernel);
+    const workloads::KernelInfo info =
+        workloads::KernelRegistry::instance().info(kernel);
+    // Each case: a memory model, a fault spec, and a BER of load-time
+    // bit errors (drawn from `seed`) applied before the run.
+    auto run_case = [&](const armvm::MemModelConfig& model,
+                        const FaultSpec& spec, double ber,
+                        std::uint64_t seed, armvm::Cpu::DecodeMode engine) {
+      armvm::Memory mem = standard_ram(info, model);
+      if (ber > 0) {
+        Rng rng(seed);
+        inject_bit_errors(mem, ber, rng);
+      }
+      EngineRun r;
+      r.run = run_with_fault(prog, mem, spec, 20'000, engine);
+      r.ram.assign(mem.bytes().begin(), mem.bytes().end());
+      r.check.assign(mem.check_bytes().begin(), mem.check_bytes().end());
+      return r;
+    };
+    auto expect_engines_agree = [&](const armvm::MemModelConfig& model,
+                                    const FaultSpec& spec, double ber,
+                                    std::uint64_t seed) {
+      const EngineRun ref = run_case(model, spec, ber, seed, engines[0]);
+      for (std::size_t e = 1; e < std::size(engines); ++e) {
+        const EngineRun got = run_case(model, spec, ber, seed, engines[e]);
+        const std::string where =
+            std::string(kernel) + " " + fault_model_name(spec.model) +
+            " index " + std::to_string(spec.index) + " seed " +
+            std::to_string(seed) + " engine " + std::to_string(e);
+        EXPECT_TRUE(got.run == ref.run) << where;
+        EXPECT_EQ(got.run.fault_message, ref.run.fault_message) << where;
+        EXPECT_TRUE(got.ram == ref.ram) << where;
+        EXPECT_TRUE(got.check == ref.check) << where;
+      }
+      return ref.run;
+    };
+
+    Rng rng(0xE16);
+    const std::uint64_t retires =
+        run_case(armvm::MemModelConfig::raw(), FaultSpec{.index = ~0ull}, 0,
+                 0, engines[0])
+            .run.instructions;
+    unsigned crashed = 0;
+    for (const FaultModel m :
+         {FaultModel::kRegisterFlip, FaultModel::kRamFlip,
+          FaultModel::kInstructionSkip, FaultModel::kOpcodeFlip}) {
+      for (int i = 0; i < 60; ++i) {
+        const FaultSpec spec = sample_spec(rng, m, retires, kRamSize / 4);
+        const InjectedRun run =
+            expect_engines_agree(armvm::MemModelConfig::raw(), spec, 0, 0);
+        if (run.outcome == RunOutcome::kCrashed) ++crashed;
+      }
+    }
+    EXPECT_GT(crashed, 0u) << kernel;
+    // Load-time bit errors under the protected models: wait states,
+    // corrections, scrubbing and integrity faults on every engine.
+    for (const armvm::MemModelKind kind :
+         {armvm::MemModelKind::kParity, armvm::MemModelKind::kSecded}) {
+      const armvm::MemModelConfig model = armvm::MemModelConfig::for_kind(
+          kind, kind == armvm::MemModelKind::kSecded ? 64 : 0);
+      for (std::uint64_t seed = 0; seed < 24; ++seed) {
+        expect_engines_agree(model, FaultSpec{.index = ~0ull}, 2e-3, seed);
+      }
+    }
+  }
+}
+
+// The watchdog trips once max_instructions + 1 have retired, on every
+// engine, even when that point falls inside a fusable block.
+TEST(Inject, WatchdogTripsAtTheSamePointOnEveryEngine) {
+  const armvm::ProgramRef prog = armvm::assemble(R"(
+entry: adds r0, #1
+    adds r1, #1
+    adds r2, #1
+    b entry
+)");
+  for (const armvm::Cpu::DecodeMode engine :
+       {armvm::Cpu::DecodeMode::kPerStep, armvm::Cpu::DecodeMode::kPredecode,
+        armvm::Cpu::DecodeMode::kThreaded}) {
+    armvm::Memory mem(kRamSize);
+    FaultSpec spec;
+    spec.index = 5;
+    spec.reg = 3;
+    const InjectedRun run = run_with_fault(prog, mem, spec, 1001, engine);
+    ASSERT_EQ(run.outcome, RunOutcome::kCrashed);
+    EXPECT_TRUE(run.injected);
+    EXPECT_EQ(run.fault_kind, armvm::FaultKind::kBudgetExhausted);
+    EXPECT_EQ(run.instructions, 1002u);
+    EXPECT_EQ(run.fault_state.instructions, 1002u);
+    EXPECT_EQ(run.fault_state.r[0], 251u);  // 1002 = 250 loops + 2
   }
 }
 

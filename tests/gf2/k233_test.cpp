@@ -29,6 +29,49 @@ Poly f_poly() {
   return Poly::from_exponents(std::array<unsigned, 3>{233, 74, 0});
 }
 
+// `mul` and `sqr` dispatch at run time; on a PCLMUL host they take the
+// carry-less 4x64-bit path. The portable compositions every build keeps
+// are the oracle.
+TEST(K233, FastPathsMatchPortablePaths) {
+  RecordProperty("clmul", has_clmul() ? "yes" : "no");
+  auto portable_mul = [](const Fe& a, const Fe& b) {
+    Prod p;
+    mul_ld(p, a, b);
+    Fe r;
+    reduce(r, p);
+    return r;
+  };
+  auto portable_sqr = [](const Fe& a) {
+    Prod p;
+    sqr_expand(p, a);
+    Fe r;
+    reduce(r, p);
+    return r;
+  };
+  auto check = [&](const Fe& a, const Fe& b) {
+    EXPECT_EQ(mul(a, b), portable_mul(a, b));
+    Fe s;
+    sqr(s, a);
+    EXPECT_EQ(s, portable_sqr(a));
+  };
+  Fe z232{};
+  z232[7] = 1u << 8;
+  Fe top{};
+  top[7] = kTopMask;  // z^224 .. z^232
+  Fe all;
+  all.fill(~Word{0});
+  all[7] = kTopMask;  // every bit below z^233
+  const Fe edges[] = {zero(), one(), z232, top, all, modulus()};
+  for (const Fe& a : edges) {
+    for (const Fe& b : edges) check(a, b);
+  }
+  Rng rng(19);
+  for (int i = 0; i < 10'000; ++i) {
+    const Fe a = random_fe(rng);
+    check(a, random_fe(rng));
+  }
+}
+
 TEST(K233, ModulusWords) {
   const Fe f = modulus();
   EXPECT_EQ(to_poly(f), f_poly());

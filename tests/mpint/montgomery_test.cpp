@@ -41,6 +41,31 @@ class MontgomeryTest : public ::testing::TestWithParam<const char*> {
   Montgomery mont_;
 };
 
+// 6- and 8-limb moduli multiply on 64-bit words. The product must be
+// the 32-bit pass's word for word, and a*b*R^-1 mod p, for any
+// operands below R (not only reduced ones).
+TEST_P(MontgomeryTest, WidePassMatchesPortablePass) {
+  const UInt r = UInt::pow2(32 * mont_.limbs());
+  const UInt rinv = r_inv();
+  std::vector<UInt> v = operands(20);
+  for (const UInt& e : {r - UInt{1}, r - p_, p_, p_ + UInt{1}}) v.push_back(e);
+  Rng rng(21);
+  for (int i = 0; i < 40; ++i) v.push_back(UInt::random_below(rng, r));
+  for (const UInt& a : v) {
+    for (const UInt& b : v) {
+      const Montgomery::Fe fa = mont_.load(a);
+      const Montgomery::Fe fb = mont_.load(b);
+      const Montgomery::Fe got = mont_.mul(fa, fb);
+      EXPECT_EQ(got, mont_.mul_portable(fa, fb));
+      const UInt want = mulmod(mulmod(a, b, p_), rinv, p_);
+      EXPECT_EQ(mont_.store(got) % p_, want);
+      if (a < p_ && b < p_) {
+        EXPECT_EQ(mont_.store(got), want);
+      }
+    }
+  }
+}
+
 TEST_P(MontgomeryTest, ToFromRoundTrip) {
   Rng rng(1);
   for (int i = 0; i < 30; ++i) {
