@@ -1,6 +1,10 @@
 // Host-side throughput of the armvm interpreter (simulated MIPS), on the
 // workload every reproduction number in this repo is made of: the K-233
-// field kernels in the mix a real wTNAF w=4 `kP` executes them.
+// field kernels in the mix a real wTNAF w=4 `kP` executes them — the
+// paper's unrolled, fixed-register code — and, next to it, the secp192r1
+// field kernels in the mix a w=4 `kP` on that curve executes them: the
+// looping prime-field code with subroutine calls, where the threaded
+// engine's speed comes from chaining blocks across branches.
 //
 // Three engines run the exact same instruction stream:
 //   reference  — DecodeMode::kPerStep, the seed interpreter's
@@ -22,9 +26,11 @@
 // `--json[=PATH]` (default BENCH_vm_throughput.json) writes the mirror,
 // `--iters=N` scales the workload (reps), `--threads=N` sizes the
 // batched section and `--enforce` turns the speedup targets (predecoded
-// >= 3x reference, threaded >= 2.5x predecoded) into the exit code.
-// Under --json the static+dynamic fusion census is also mirrored to
-// fusion_report.json (the CI bench job uploads it as an artifact).
+// >= 3x reference, threaded >= 2.5x predecoded on the K-233 mix,
+// threaded >= kPrimeThreadedTarget x predecoded on the secp192r1 mix)
+// into the exit code. Under --json the static+dynamic fusion census is
+// also mirrored to fusion_report.json (the CI bench job uploads it as an
+// artifact).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -43,11 +49,19 @@
 #include "telemetry/metrics.h"
 #include "workloads/kp_mix.h"
 #include "workloads/registry.h"
+#include "workloads/spec.h"
 
 using namespace eccm0;
 using armvm::Cpu;
 
 namespace {
+
+/// --enforce floor of threaded over predecoded sim MIPS on the secp192r1
+/// kP mix: ~2.9x measured with block chaining (median of 42 solo runs;
+/// ~2.0x without), so the floor keeps more than the margin of the K-233
+/// gate (2.5x against ~2.7x measured) and still fails an engine that
+/// stops chaining.
+constexpr double kPrimeThreadedTarget = 2.3;
 
 struct WorkloadResult {
   armvm::RunStats stats;
@@ -124,6 +138,22 @@ WorkloadResult run_workload(Cpu::DecodeMode mode, const ec::FieldOpCounts& ops,
   return r;
 }
 
+/// The secp192r1 kP field-kernel mix (Montgomery multiply and square,
+/// binary-EEA inversion), `reps` times on one engine.
+WorkloadResult run_prime_workload(const workloads::WorkloadSpec& spec,
+                                  Cpu::DecodeMode mode, unsigned reps) {
+  const auto t0 = std::chrono::steady_clock::now();
+  const workloads::ReplayResult rr =
+      workloads::replay(spec, mode, armvm::MemModelConfig{}, reps);
+  const auto t1 = std::chrono::steady_clock::now();
+  WorkloadResult r;
+  r.seconds = std::chrono::duration<double>(t1 - t0).count();
+  r.stats = rr.stats;
+  r.output_digest = rr.output_digest;
+  r.fused_retired = rr.fused_retired;
+  return r;
+}
+
 /// `reps` independent workload units fanned across the batch executor:
 /// each task builds its own execution contexts over the registry's
 /// shared images and runs one kP mix on the threaded engine. Returns the
@@ -168,10 +198,25 @@ const char* dispatch_name() {
                                                        : "switch";
 }
 
+/// Dynamic coverage one threaded workload run saw. The replayed
+/// secp192r1 mix reports no block count (ReplayResult carries none).
+telemetry::Json fusion_census(const char* workload, const WorkloadResult& r,
+                              bool with_blocks) {
+  using telemetry::Json;
+  Json d = Json::object();
+  d.set("workload", Json::str(workload));
+  d.set("instructions", Json::number(r.stats.instructions));
+  d.set("fused_retired", Json::number(r.fused_retired));
+  if (with_blocks) d.set("fused_blocks_entered", Json::number(r.fused_blocks));
+  d.set("fused_fraction", Json::number(r.fused_fraction()));
+  return d;
+}
+
 /// Static + dynamic fusion census: per-kernel block counts and coverage
 /// from the frozen ThreadedImages, plus the dynamic coverage the
-/// threaded workload run actually saw.
-telemetry::Json fusion_report(const WorkloadResult& thr) {
+/// threaded workload runs actually saw.
+telemetry::Json fusion_report(const WorkloadResult& thr,
+                              const WorkloadResult& prime_thr) {
   using telemetry::Json;
   Json p = Json::object();
   p.set("report", Json::str("superinstruction_fusion"));
@@ -198,13 +243,9 @@ telemetry::Json fusion_report(const WorkloadResult& thr) {
     kernels.set(name, std::move(k));
   }
   p.set("static", std::move(kernels));
-  Json dynamic = Json::object();
-  dynamic.set("workload", Json::str("wTNAF w=4 kP field-kernel mix"));
-  dynamic.set("instructions", Json::number(thr.stats.instructions));
-  dynamic.set("fused_retired", Json::number(thr.fused_retired));
-  dynamic.set("fused_blocks_entered", Json::number(thr.fused_blocks));
-  dynamic.set("fused_fraction", Json::number(thr.fused_fraction()));
-  p.set("dynamic", std::move(dynamic));
+  p.set("dynamic", fusion_census("wTNAF w=4 kP field-kernel mix", thr, true));
+  p.set("dynamic_secp192r1",
+        fusion_census("w=4 kP field-kernel mix, secp192r1", prime_thr, false));
   return p;
 }
 
@@ -280,6 +321,30 @@ int main(int argc, char** argv) {
   const double speedup = pre.mips() / ref.mips();
   const double threaded_speedup = thr.mips() / pre.mips();
 
+  // The secp192r1 mix: predecoded vs threaded only (the per-step
+  // reference adds nothing the K-233 rows do not already show).
+  const workloads::WorkloadSpec prime = workloads::kp_workload("secp192r1");
+  WorkloadResult pre_p, thr_p;
+  for (unsigned round = 0; round < rounds; ++round) {
+    WorkloadResult b =
+        run_prime_workload(prime, Cpu::DecodeMode::kPredecode, reps);
+    WorkloadResult c =
+        run_prime_workload(prime, Cpu::DecodeMode::kThreaded, reps);
+    if (!identical(b.stats, c.stats) || b.output_digest != c.output_digest) {
+      std::fprintf(stderr,
+                   "FAIL: engines diverged on the secp192r1 mix (cycles "
+                   "%llu / %llu, digest %llx / %llx)\n",
+                   static_cast<unsigned long long>(b.stats.cycles),
+                   static_cast<unsigned long long>(c.stats.cycles),
+                   static_cast<unsigned long long>(b.output_digest),
+                   static_cast<unsigned long long>(c.output_digest));
+      return 1;
+    }
+    if (round == 0 || b.mips() > pre_p.mips()) pre_p = b;
+    if (round == 0 || c.mips() > thr_p.mips()) thr_p = c;
+  }
+  const double prime_threaded_speedup = thr_p.mips() / pre_p.mips();
+
   // Batched section: the same threaded workload fanned across the batch
   // executor. The one-thread digest is the determinism reference; when
   // the pool resolves to a single worker, the serial run IS the batched
@@ -324,16 +389,28 @@ int main(int argc, char** argv) {
              bench::fmt_u64(batched.stats.cycles),
              bench::fmt_f(batched.seconds, 4),
              bench::fmt_f(batched.mips(), 1)});
+  t.add_row({"secp192r1 mix, pre-decoded",
+             bench::fmt_u64(pre_p.stats.instructions),
+             bench::fmt_u64(pre_p.stats.cycles), bench::fmt_f(pre_p.seconds, 4),
+             bench::fmt_f(pre_p.mips(), 1)});
+  t.add_row({"secp192r1 mix, threaded",
+             bench::fmt_u64(thr_p.stats.instructions),
+             bench::fmt_u64(thr_p.stats.cycles), bench::fmt_f(thr_p.seconds, 4),
+             bench::fmt_f(thr_p.mips(), 1)});
   t.print();
   std::printf("\nSpeedups: pre-decoded %.2fx over per-step (target >= 3x), "
               "threaded %.2fx over pre-decoded (target >= 2.5x);\n"
+              "secp192r1 mix: threaded %.2fx over pre-decoded (target >= "
+              "%.1fx);\n"
               "cycle counts, histograms and energy reports bit-identical "
               "across all engines\n",
-              speedup, threaded_speedup);
+              speedup, threaded_speedup, prime_threaded_speedup,
+              kPrimeThreadedTarget);
   std::printf("Fusion: %.1f%% of retirements inside superblocks "
-              "(%llu blocks entered)\n",
+              "(%llu blocks entered); secp192r1 mix %.1f%%\n",
               100.0 * thr.fused_fraction(),
-              static_cast<unsigned long long>(thr.fused_blocks));
+              static_cast<unsigned long long>(thr.fused_blocks),
+              100.0 * thr_p.fused_fraction());
   std::printf("Batch executor: %.2fx over 1-thread serial (%u worker(s)), "
               "digest bit-identical\n",
               batch_speedup, pool_threads);
@@ -368,13 +445,32 @@ int main(int argc, char** argv) {
     Json batch = engine_json(std::move(batched_head), batched);
     batch.set("batch_speedup", Json::number(batch_speedup));
     p.set("batched", std::move(batch));
+    Json prime_mix = Json::object();
+    prime_mix.set("kind", Json::str("w=4 kP field-kernel mix, secp192r1"));
+    prime_mix.set("mul", Json::number(prime.ops.mul));
+    prime_mix.set("sqr", Json::number(prime.ops.sqr));
+    prime_mix.set("inv", Json::number(prime.ops.inv));
+    Json prime_pre = engine_json(engine_head("pre-decoded cache"), pre_p);
+    prime_pre.set("sim_mips", Json::number(pre_p.mips()));
+    prime_mix.set("predecoded", std::move(prime_pre));
+    Json prime_thr =
+        engine_json(engine_head("token-threaded + superinstructions"), thr_p);
+    prime_thr.set("sim_mips", Json::number(thr_p.mips()));
+    prime_thr.set("fused_retired", Json::number(thr_p.fused_retired));
+    prime_thr.set("fused_fraction", Json::number(thr_p.fused_fraction()));
+    prime_mix.set("threaded", std::move(prime_thr));
+    prime_mix.set("threaded_speedup", Json::number(prime_threaded_speedup));
+    p.set("secp192r1", std::move(prime_mix));
     p.set("speedup", Json::number(speedup));
     p.set("threaded_speedup", Json::number(threaded_speedup));
     p.set("bit_identical", Json::boolean(true));
     bench::write_manifest(args.json_path, "bench_vm_throughput", std::move(p),
                           &args, &metrics);
     bench::write_manifest("fusion_report.json", "bench_vm_throughput:fusion",
-                          fusion_report(thr));
+                          fusion_report(thr, thr_p));
   }
-  return (enforce && (speedup < 3.0 || threaded_speedup < 2.5)) ? 2 : 0;
+  return (enforce && (speedup < 3.0 || threaded_speedup < 2.5 ||
+                      prime_threaded_speedup < kPrimeThreadedTarget))
+             ? 2
+             : 0;
 }

@@ -565,8 +565,9 @@ RunStats Cpu::run(std::uint64_t max_instructions) {
   // sized so that exactly max_instructions + 1 instructions can retire
   // before the budget trips — the same point at which a
   // check-every-step loop would have thrown. The threaded engine
-  // additionally never enters a fused block whose retirement count
-  // would overrun the chunk, so the trip point is engine-independent.
+  // additionally never enters or chains into a fused block whose
+  // retirement count would overrun the chunk, so the trip point is
+  // engine-independent.
   constexpr std::uint64_t kBudgetCheckInterval = 16 * 1024;
   while (!halted_) {
     const std::uint64_t executed = stats_.instructions - before.instructions;

@@ -408,12 +408,15 @@ class Cpu {
     kPredecode,  ///< execute from the construction-time decode cache
     kPerStep,    ///< reference engine: fresh decode() every instruction
     kThreaded,   ///< token-threaded dispatch over the predecode cache,
-                 ///< with fused basic-block superinstructions and
-                 ///< batched accounting (see armvm/superinst.h). Falls
-                 ///< back to per-instruction execution when a TraceSink
-                 ///< is attached, when the budget would expire inside a
-                 ///< block, or when the PC enters a block anywhere but
-                 ///< its head. Bit-identical to the other engines.
+                 ///< with fused basic-block superinstructions that may
+                 ///< end in their closing branch, batched accounting,
+                 ///< and block-to-block chaining across those branches
+                 ///< (see armvm/superinst.h). Falls back to
+                 ///< per-instruction execution when the budget would
+                 ///< expire inside a block or when the PC enters a block
+                 ///< anywhere but its head, and to the predecoded loop
+                 ///< when a TraceSink is attached or the RAM is
+                 ///< protected. Bit-identical to the other engines.
   };
   /// The engine every config, campaign and harness runs unless told
   /// otherwise — the one place the default is spelled.
@@ -446,9 +449,9 @@ class Cpu {
   /// Retire exactly `n` instructions through this core's engine, or
   /// fewer when it halts first; returns how many retired. No budget
   /// (the caller bounds n) and faults surface as from step(). The
-  /// threaded engine enters a fused block only when the whole block
-  /// fits in what is left of n, so every engine stops on the same
-  /// instruction as n single steps would.
+  /// threaded engine enters or chains into a fused block only when the
+  /// whole block fits in what is left of n, so every engine stops on
+  /// the same instruction as n single steps would.
   std::uint64_t run_for(std::uint64_t n);
 
   /// step() with one transient fetch fault: for this instruction only,
@@ -569,10 +572,13 @@ class Cpu {
   /// protected (fused blocks precompute cycle deltas and bypass the
   /// Memory accessors entirely, so they cannot see wait-states).
   std::uint64_t run_threaded(std::uint64_t limit);
-  /// Retire one whole fused block (PC is at its head). On a Fault,
-  /// replays the accounting of the instructions that retired before the
-  /// faulting one and leaves the exact per-step architectural state.
-  void run_fused_block(const SuperBlock& b);
+  /// Retire the fused block `first` (PC is at its head), then keep
+  /// chaining into each successor block whose whole retirement fits in
+  /// what is left of `room` instructions; returns how many retired. On
+  /// a Fault, replays the accounting of the instructions that retired
+  /// before the faulting one and leaves the exact per-step
+  /// architectural state.
+  std::uint64_t run_fused_block(const SuperBlock& first, std::uint64_t room);
 
   /// The shared immutable image, plus raw views into it so the hot loop
   /// pays no shared_ptr indirection.

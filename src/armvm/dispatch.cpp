@@ -4,25 +4,34 @@
 //   Cpu::run_threaded   — the chunk runner. Same PC-validation contract
 //     as the predecoded loop; additionally consults the Program's
 //     ThreadedImage and, when the PC sits on a fused-block head and the
-//     whole block fits in the remaining instruction budget, retires the
-//     block in one call. Everything else (interior entry after a
-//     snapshot restore, budget boundary, undecodable slot, control
-//     flow) executes per-instruction from the predecode cache, and
-//     traced runs delegate wholesale to the traced predecoded loop so
-//     the rich TraceEvent stream is bit-identical by construction.
-//   Cpu::run_fused_block — the superblock dispatcher. Executes the
-//     fused instructions against local flag copies with NO per-
-//     instruction accounting; on success applies the block's
-//     precomputed cycle/histogram delta in one step, on a Fault replays
-//     the static cost pairs of the instructions that retired before the
-//     faulting one so the architectural state (PC, flags, stats) is
-//     exactly what the per-step oracle leaves behind.
+//     whole block fits in the remaining instruction budget, hands over
+//     to the block dispatcher. Everything else (interior entry after a
+//     snapshot restore, budget boundary, undecodable slot, control flow
+//     no block closes with) executes per-instruction from the predecode
+//     cache; traced runs and protected memory delegate wholesale to the
+//     predecoded loop, so the rich TraceEvent stream and the wait-state
+//     accounting are bit-identical by construction.
+//   Cpu::run_fused_block — the superblock dispatcher. Executes fused
+//     instructions against local flag copies with NO per-instruction
+//     accounting. Each block's exit entry (fall-through, or its closing
+//     B/BCond/BL/BX) sets PC and names the successor block; one shared
+//     commit site applies the block's precomputed cycle/histogram delta
+//     and, when the successor is a block head that fits the remaining
+//     budget, jumps straight to its first token — so a loop or a call
+//     chain runs block to block without returning to the chunk runner.
+//     On a Fault it replays the static cost pairs of the instructions
+//     that retired before the faulting one so the architectural state
+//     (PC, flags, stats) is exactly what the per-step oracle leaves.
 //
 // Dispatch form: computed goto (&&label, the classic token-threading
 // idiom) on GNU/Clang; a switch over the same handler bodies otherwise
 // or when ECCM0_SWITCH_DISPATCH_ONLY is defined (CMake option
 // ECCM0_SWITCH_DISPATCH — the CI portability leg). Both forms include
 // exec_fused.inc, so there is exactly one copy of each handler's logic.
+// GCC compiles this file with -fno-crossjumping (CMakeLists.txt): left
+// to itself it merges the handlers' identical `goto *token_targets[..]`
+// tails into a few shared indirect jumps, which costs the straight-line
+// kernels their per-handler branch prediction.
 #include "armvm/dispatch.h"
 
 #include <cstddef>
@@ -81,11 +90,23 @@ bool threaded_dispatch_uses_computed_goto() {
   X(BCond) X(B) X(Bl)                                                         \
   X(Sxth) X(Sxtb) X(Uxth) X(Uxtb) X(Rev) X(Rev16) X(Revsh) X(Nop) X(Bkpt)
 
+// Every Cond in isa.h declaration order, each with the predicate a
+// closing BCond on it tests against the local flag copies. Pinned
+// against the enum below like the Op list.
+#define ECCM0_FOR_EACH_COND(X)                                          \
+  X(Eq, lz) X(Ne, !lz) X(Cs, lc) X(Cc, !lc) X(Mi, ln) X(Pl, !ln)        \
+  X(Vs, lv) X(Vc, !lv) X(Hi, lc && !lz) X(Ls, !lc || lz)                \
+  X(Ge, ln == lv) X(Lt, ln != lv) X(Gt, !lz && ln == lv)                \
+  X(Le, lz || ln != lv)
+
 namespace {
 
 #define ECCM0_OP_ENTRY(name) Op::k##name,
 constexpr Op kOpOrder[] = {ECCM0_FOR_EACH_OP(ECCM0_OP_ENTRY)};
 #undef ECCM0_OP_ENTRY
+#define ECCM0_COND_ENTRY(name, taken) Cond::k##name,
+constexpr Cond kCondOrder[] = {ECCM0_FOR_EACH_COND(ECCM0_COND_ENTRY)};
+#undef ECCM0_COND_ENTRY
 
 constexpr bool op_order_consistent() {
   for (std::size_t i = 0; i < std::size(kOpOrder); ++i) {
@@ -93,22 +114,36 @@ constexpr bool op_order_consistent() {
   }
   return true;
 }
+constexpr bool cond_order_consistent() {
+  for (std::size_t i = 0; i < std::size(kCondOrder); ++i) {
+    if (static_cast<std::size_t>(kCondOrder[i]) != i) return false;
+  }
+  return true;
+}
 static_assert(std::size(kOpOrder) == kNumOps,
               "ECCM0_FOR_EACH_OP out of sync with the Op enum");
 static_assert(op_order_consistent(),
               "ECCM0_FOR_EACH_OP order out of sync with the Op enum");
+static_assert(std::size(kCondOrder) == kNumConds,
+              "ECCM0_FOR_EACH_COND out of sync with the Cond enum");
+static_assert(cond_order_consistent(),
+              "ECCM0_FOR_EACH_COND order out of sync with the Cond enum");
+static_assert(kNumTokens <= 256, "tokens must fit the Op byte");
 
 [[noreturn]] void bad_fused_token() {
-  throw std::logic_error("Cpu: control-flow op inside a fused block");
+  throw std::logic_error("Cpu: invalid token inside a fused block");
 }
 
 }  // namespace
 
-void Cpu::run_fused_block(const SuperBlock& blk) {
-  const FusedInstr* const code = blk.code.data();
-  const std::uint32_t count = blk.count;
+std::uint64_t Cpu::run_fused_block(const SuperBlock& first,
+                                   std::uint64_t room) {
+  const ThreadedImage& image = prog_->threaded();
+  const SuperBlock* const blocks = image.blocks.data();
+  const std::int32_t* const block_at = image.block_at.data();
+  const std::size_t code_halfwords = code_size_;
   std::uint32_t* const r = r_;
-  // The RAM view is hoisted into locals for the whole block. Inside
+  // The RAM view is hoisted into locals for the whole chain. Inside
   // Memory's own fast path every byte store forces the compiler to
   // reload the vector's data pointer and size (a std::uint8_t store may
   // legally alias anything, including the vector's bookkeeping); these
@@ -146,7 +181,7 @@ void Cpu::run_fused_block(const SuperBlock& blk) {
     }
     write_mem<false>(addr, v, nbytes);
   };
-  // Flags live in locals for the whole block; written back on every
+  // Flags live in locals for the whole chain; written back on every
   // exit path (handlers never touch n_/z_/c_/v_ directly).
   bool ln = n_, lz = z_, lc = c_, lv = v_;
   const auto set_nzl = [&](std::uint32_t v) {
@@ -165,81 +200,112 @@ void Cpu::run_fused_block(const SuperBlock& blk) {
     }
     return result;
   };
-#if ECCM0_USE_COMPUTED_GOTO
-  // The block cursor is the dispatcher's only loop variable: each
-  // handler bumps it and jumps through the token table, and the
-  // terminator entry the builder appended (token kEndOfBlockToken)
-  // jumps straight to the block-exit label, so there is no count
-  // compare after every instruction. Declared outside the try so the
-  // fault path can recover the retired-instruction index from it.
-  const FusedInstr* fp = code;
-#else
-  std::uint32_t j = 0;
-#endif
+  // The running block and the cursor into its code are the
+  // dispatcher's only loop state: each handler bumps the cursor and
+  // dispatches the next token, and the block's exit entry jumps to an
+  // exit site, so there is no count compare after every instruction.
+  // Declared outside the try so the fault path can recover the
+  // retired-instruction index from them.
+  const SuperBlock* blk = &first;
+  const FusedInstr* fp = first.code.data();
+  std::int32_t next = -1;      // successor the exit entry names
+  std::uint64_t retired = 0;   // instructions of committed blocks
+  std::uint64_t entered = 0;   // committed blocks
   try {
 #if ECCM0_USE_COMPUTED_GOTO
-    // Token-threaded dispatch: the Op byte of the next fused
-    // instruction indexes straight into the label table, so there is no
-    // central dispatch branch for the host predictor to miss on. One
-    // extra entry past the real Ops: the block terminator.
+    // Token-threaded dispatch: the op byte of the next fused entry
+    // indexes straight into the label table, so there is no central
+    // dispatch branch for the host predictor to miss on. Past the real
+    // Ops: the no-branch block end, then one exit per BCond condition.
     static const void* const token_targets[] = {
 #define ECCM0_TOKEN_ENTRY(name) &&handler_##name,
         ECCM0_FOR_EACH_OP(ECCM0_TOKEN_ENTRY)
 #undef ECCM0_TOKEN_ENTRY
-        &&block_done,
+        &&handler_End,
+#define ECCM0_COND_TOKEN_ENTRY(name, taken) &&handler_BCond##name,
+        ECCM0_FOR_EACH_COND(ECCM0_COND_TOKEN_ENTRY)
+#undef ECCM0_COND_TOKEN_ENTRY
     };
-    static_assert(sizeof(token_targets) / sizeof(token_targets[0]) ==
-                  kNumOps + 1);
-    goto* token_targets[static_cast<std::size_t>(fp->ins.op)];
-
+    static_assert(std::size(token_targets) == kNumTokens);
+#define ECCM0_DISPATCH() \
+  goto* token_targets[static_cast<std::uint8_t>(fp->ins.op)]
 #define ECCM0_FUSED_CASE(name) \
   handler_##name : {           \
     const FusedInstr& F = *fp;
+#define ECCM0_EXIT_CASE(name, token) \
+  handler_##name : {                 \
+    const FusedInstr& F = *fp;       \
+    (void)F;
+#else
+#define ECCM0_DISPATCH() goto next_token
+#define ECCM0_FUSED_CASE(name)                  \
+  case static_cast<std::uint8_t>(Op::k##name): { \
+    const FusedInstr& F = *fp;
+#define ECCM0_EXIT_CASE(name, token)        \
+  case static_cast<std::uint8_t>(token): { \
+    const FusedInstr& F = *fp;             \
+    (void)F;
+#endif
 #define ECCM0_FUSED_END \
   }                     \
   ++fp;                 \
-  goto* token_targets[static_cast<std::size_t>(fp->ins.op)];
-#include "armvm/exec_fused.inc"
-#undef ECCM0_FUSED_CASE
-#undef ECCM0_FUSED_END
+  ECCM0_DISPATCH();
+#define ECCM0_EXIT_END }
 
-  // Control-flow tokens never appear in a fused block (the builder
-  // excludes them); their table entries land here.
-  handler_Bx:
-  handler_Blx:
+#if ECCM0_USE_COMPUTED_GOTO
+    ECCM0_DISPATCH();
+#include "armvm/exec_fused.inc"
+  // A closing BCond always carries its condition's token, and BLX/BKPT
+  // never enter a block; their table entries land here.
   handler_BCond:
-  handler_B:
-  handler_Bl:
+  handler_Blx:
   handler_Bkpt:
     bad_fused_token();
-  block_done:;
 #else
-    for (; j < count; ++j) {
-      const FusedInstr* const fp = code + j;
-      switch (fp->ins.op) {
-#define ECCM0_FUSED_CASE(name) \
-  case Op::k##name: {          \
-    const FusedInstr& F = *fp;
-#define ECCM0_FUSED_END \
-  }                     \
-  break;
+  next_token:
+    switch (static_cast<std::uint8_t>(fp->ins.op)) {
 #include "armvm/exec_fused.inc"
-#undef ECCM0_FUSED_CASE
-#undef ECCM0_FUSED_END
-        default:
-          bad_fused_token();
-      }
+      default:
+        bad_fused_token();
     }
 #endif
+  // Exit sites shared by every block exit.
+  falls_through:
+    r[kPC] = blk->end_pc;
+    next = blk->next_fall;
+    goto commit;
+  bcond_taken:
+    stats_.cycles += 1;  // a taken BCond's second cycle
+    stats_.histogram.add(costmodel::InstrClass::kBranch, 1);
+  branch_taken:
+    r[kPC] = blk->taken_pc;
+    next = blk->next_taken;
+  commit:
+    stats_.cycles += blk->cycles;
+    for (const auto& [cls, cyc] : blk->hist) stats_.histogram.add(cls, cyc);
+    retired += blk->count;
+    ++entered;
+    // Chain: run the successor in place when it is a block head whose
+    // whole retirement fits in what is left of the budget.
+    if (next >= 0 && blocks[next].count <= room - retired) {
+      blk = &blocks[next];
+      fp = blk->code.data();
+      ECCM0_DISPATCH();
+    }
+#undef ECCM0_DISPATCH
+#undef ECCM0_FUSED_CASE
+#undef ECCM0_FUSED_END
+#undef ECCM0_EXIT_CASE
+#undef ECCM0_EXIT_END
   } catch (...) {
-    // Fault at fused instruction j: replay the static costs of the
-    // instructions that retired before it (the faulting one contributes
-    // nothing — exec() accounts after its memory accesses), sync the
-    // flags, and leave the PC at the faulting instruction's
-    // fallthrough, exactly as the per-step loop does before exec().
-#if ECCM0_USE_COMPUTED_GOTO
+    // Fault at entry j of the running block: replay the static costs of
+    // the instructions that retired before it (the faulting one
+    // contributes nothing — exec() accounts after its memory accesses;
+    // an exit entry never faults), sync the flags, and leave the PC at
+    // the faulting instruction's fallthrough, exactly as the per-step
+    // loop does before exec().
+    const FusedInstr* const code = blk->code.data();
     const auto j = static_cast<std::uint32_t>(fp - code);
-#endif
     n_ = ln;
     z_ = lz;
     c_ = lc;
@@ -250,8 +316,9 @@ void Cpu::run_fused_block(const SuperBlock& blk) {
         stats_.cycles += code[k].costs[c].cycles;
       }
     }
-    stats_.instructions += j;
-    fused_retired_ += j;
+    stats_.instructions += retired + j;
+    fused_retired_ += retired + j;
+    fused_blocks_entered_ += entered;
     r_[kPC] = code[j].pc4 - 2;
     throw;
   }
@@ -259,11 +326,9 @@ void Cpu::run_fused_block(const SuperBlock& blk) {
   z_ = lz;
   c_ = lc;
   v_ = lv;
-  r_[kPC] = blk.end_pc;
-  stats_.cycles += blk.cycles;
-  for (const auto& [cls, cyc] : blk.hist) stats_.histogram.add(cls, cyc);
-  fused_retired_ += count;
-  ++fused_blocks_entered_;
+  fused_retired_ += retired;
+  fused_blocks_entered_ += entered;
+  return retired;
 }
 
 std::uint64_t Cpu::run_threaded(std::uint64_t limit) {
@@ -304,10 +369,10 @@ std::uint64_t Cpu::run_threaded(std::uint64_t limit) {
         const SuperBlock& sb = blocks[blk];
         // Enter the fused block only when the whole block fits in this
         // chunk's budget — otherwise retire per-instruction so the
-        // budget trips at the engine-independent point.
+        // budget trips at the engine-independent point. The dispatcher
+        // holds every block it chains into to the same rule.
         if (done + sb.count <= limit) [[likely]] {
-          run_fused_block(sb);
-          done += sb.count;
+          done += run_fused_block(sb, limit - done);
           continue;
         }
       }

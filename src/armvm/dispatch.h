@@ -6,9 +6,10 @@
 // The threaded engine itself lives in dispatch.cpp: Cpu::run_threaded
 // (the chunk runner with block-head lookup and per-instruction
 // fallback) and Cpu::run_fused_block (the token-threaded superblock
-// dispatcher, instantiated from exec_fused.inc as computed-goto labels
-// on GNU/Clang and as a switch on everything else — or everywhere when
-// the ECCM0_SWITCH_DISPATCH CMake option forces the portable form).
+// dispatcher that chains from block to block across their closing
+// branches, instantiated from exec_fused.inc as computed-goto labels on
+// GNU/Clang and as a switch on everything else — or everywhere when the
+// ECCM0_SWITCH_DISPATCH CMake option forces the portable form).
 #pragma once
 
 #include <string_view>

@@ -59,6 +59,10 @@ enum class Cond : std::uint8_t {
   kEq = 0, kNe, kCs, kCc, kMi, kPl, kVs, kVc, kHi, kLs, kGe, kLt, kGt, kLe,
 };
 
+/// Number of distinct Cond values (kLe is last).
+inline constexpr std::size_t kNumConds =
+    static_cast<std::size_t>(Cond::kLe) + 1;
+
 /// A decoded instruction. Fields are used according to `op`:
 ///   rd/rn/rm — registers; imm — immediate (pre-scaled to bytes where the
 ///   encoding scales); reg_list — LDM/STM/PUSH/POP bitmask (bit 8 = LR for

@@ -170,19 +170,18 @@ void Server::stop() {
   queue_.close();
   if (pool_.joinable()) pool_.join();
 
-  std::vector<std::thread> sessions;
+  std::vector<Session> sessions;
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
     sessions.swap(sessions_);
-    for (const std::weak_ptr<Connection>& w : conns_) {
-      if (std::shared_ptr<Connection> c = w.lock()) {
+    for (const Session& s : sessions) {
+      if (std::shared_ptr<Connection> c = s.conn.lock()) {
         ::shutdown(c->fd, SHUT_RDWR);
       }
     }
-    conns_.clear();
   }
-  for (std::thread& t : sessions) {
-    if (t.joinable()) t.join();
+  for (Session& s : sessions) {
+    if (s.thread.joinable()) s.thread.join();
   }
 }
 
@@ -209,10 +208,22 @@ void Server::accept_loop() {
     auto conn = std::make_shared<Connection>(fd);
     std::lock_guard<std::mutex> lock(sessions_mu_);
     if (!running_.load(std::memory_order_acquire)) return;
-    conns_.push_back(conn);
-    sessions_.emplace_back(
-        [this, conn = std::move(conn)] { session_loop(conn); });
+    reap_sessions_locked();
+    std::weak_ptr<Connection> weak = conn;
+    std::thread t([this, conn = std::move(conn)] { session_loop(conn); });
+    sessions_.push_back({std::move(t), std::move(weak)});
   }
+}
+
+void Server::reap_sessions_locked() {
+  // The session thread holds its connection until the thread itself
+  // winds down, so an expired connection means session_loop returned
+  // (and no queued job still answers on it): the join does not block.
+  std::erase_if(sessions_, [](Session& s) {
+    if (!s.conn.expired()) return false;
+    s.thread.join();
+    return true;
+  });
 }
 
 void Server::session_loop(std::shared_ptr<Connection> conn) {
@@ -303,6 +314,13 @@ telemetry::Json Server::stats_payload() const {
                            static_cast<std::uint64_t>(queue_.capacity())));
   p.set("queued", telemetry::Json::number(
                       static_cast<std::uint64_t>(queue_.size_approx())));
+  std::size_t sessions = 0;
+  {
+    std::lock_guard<std::mutex> lock(sessions_mu_);
+    sessions = sessions_.size();
+  }
+  p.set("sessions",
+        telemetry::Json::number(static_cast<std::uint64_t>(sessions)));
   p.set("metrics", metrics_->snapshot_json(/*include_wall=*/true));
   return p;
 }

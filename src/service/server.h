@@ -5,7 +5,9 @@
 //
 // Threading model:
 //
-//   acceptor thread ──► session threads (one per connection)
+//   acceptor thread ──► session threads (one per connection; the
+//                            │  acceptor joins finished ones before it
+//                            │  starts the next)
 //                            │  parse + validate; ping/stats/shutdown
 //                            │  answered inline, work ops enqueued
 //                            ▼
@@ -149,11 +151,24 @@ class Server {
   std::mutex stop_mu_;
   bool stopped_ = false;
 
+  /// One session thread and its connection: weak, so a finished
+  /// session does not hold the fd open, and stop() can still shut a
+  /// live one down. The connection expires once the session thread and
+  /// every job answering on it are done, which is when the accept loop
+  /// joins and drops the session.
+  struct Session {
+    std::thread thread;
+    std::weak_ptr<Connection> conn;
+  };
+  /// Join and drop every session whose connection has expired. Caller
+  /// holds sessions_mu_.
+  void reap_sessions_locked();
+
   std::thread acceptor_;
   std::thread pool_;
-  std::mutex sessions_mu_;
-  std::vector<std::thread> sessions_;
-  std::vector<std::weak_ptr<Connection>> conns_;
+  /// Guards sessions_; mutable so stats_payload() can count them.
+  mutable std::mutex sessions_mu_;
+  std::vector<Session> sessions_;
 };
 
 }  // namespace eccm0::service

@@ -5,9 +5,12 @@
 // energy, registers, RAM and (traced) rich event streams — and agree
 // bit-for-bit on the awkward paths: snapshot/restore into the middle of
 // a fused block, a fault at a retirement index interior to a
-// superinstruction, and the instruction-budget trip point.
+// superinstruction, and the instruction-budget trip point — on the
+// looping kernels, where blocks chain across their closing branches, at
+// every early budget and at chain boundaries too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <stdexcept>
@@ -477,48 +480,381 @@ TEST(Threaded, InstructionBudgetTripsIdenticallyMidBlock) {
   }
 }
 
+/// The token of a block's exit entry: kEndOfBlockToken, a closing
+/// B/BL/BX's Op byte, or a closing BCond's condition token.
+std::uint8_t exit_token(const SuperBlock& blk) {
+  return static_cast<std::uint8_t>(blk.code.back().ins.op);
+}
+
+bool exit_is(const SuperBlock& blk, Op op) {
+  return exit_token(blk) == static_cast<std::uint8_t>(op);
+}
+
+bool exits_on_bl(const SuperBlock& blk) { return exit_is(blk, Op::kBl); }
+
+bool exits_on_bcond(const SuperBlock& blk) {
+  return exit_token(blk) >= kBCondToken &&
+         exit_token(blk) < kBCondToken + kNumConds;
+}
+
 TEST(Threaded, FusionDiscoveryInvariants) {
-  for (const std::string name : {"mul", "sqr", "inv", "reduce"}) {
+  std::size_t closing_bl = 0, closing_bcond = 0, closing_bx = 0;
+  for (const std::string name : {"mul", "sqr", "inv", "reduce", "p192-mont",
+                                 "p192-sqr", "p192-inv", "p192-redc",
+                                 "p256-mont", "p256-inv"}) {
     const ProgramRef prog = workloads::kernel(name);
     const ThreadedImage& image = prog->threaded();
+    const std::vector<PredecodedSlot>& cache = prog->cache();
+    const std::size_t n = cache.size();
     SCOPED_TRACE(name);
     ASSERT_FALSE(image.blocks.empty());
+    ASSERT_EQ(image.block_at.size(), n);
     EXPECT_GT(image.valid_slots, 0u);
     EXPECT_LE(image.fused_slots, image.valid_slots);
+    std::uint64_t fused = 0;
     for (std::size_t b = 0; b < image.blocks.size(); ++b) {
       const SuperBlock& blk = image.blocks[b];
-      EXPECT_GE(blk.count, kMinFuseLength);
-      // `count` real instructions plus the dispatcher's terminator entry.
-      ASSERT_EQ(blk.code.size(), blk.count + 1);
-      EXPECT_EQ(static_cast<std::uint8_t>(blk.code.back().ins.op),
-                kEndOfBlockToken);
-      EXPECT_EQ(blk.code.back().num_costs, 0u);
-      EXPECT_EQ(blk.end_pc, 2 * (blk.head_idx + blk.count));
+      SCOPED_TRACE("block at halfword " + std::to_string(blk.head_idx));
+      ASSERT_GE(blk.count, 1u);
       EXPECT_EQ(image.block_at[blk.head_idx], static_cast<std::int32_t>(b));
-      std::uint64_t cycles = 0;
-      for (std::uint32_t i = 0; i < blk.count; ++i) {
+      fused += blk.count;
+      const bool closed = exit_token(blk) != kEndOfBlockToken;
+      // A terminator only ever comes last: every entry before the exit
+      // is a straight-line 1-halfword instruction at consecutive slots.
+      const std::size_t body = closed ? blk.count - 1 : blk.count;
+      ASSERT_EQ(blk.code.size(), body + 1);
+      for (std::size_t i = 0; i < body; ++i) {
         const FusedInstr& f = blk.code[i];
+        const PredecodedSlot& slot = cache[blk.head_idx + i];
         EXPECT_TRUE(fusable(f.ins, 1));
-        for (unsigned c = 0; c < f.num_costs; ++c) {
-          cycles += f.costs[c].cycles;
+        EXPECT_EQ(slot.halfwords, 1u);
+        EXPECT_EQ(f.ins, slot.ins);
+        EXPECT_EQ(f.pc4, 2 * (blk.head_idx + i) + 4);
+      }
+      const std::size_t exit_idx = blk.head_idx + body;
+      std::uint64_t cycles = 0;
+      for (const FusedInstr& f : blk.code) {
+        for (unsigned c = 0; c < f.num_costs; ++c) cycles += f.costs[c].cycles;
+      }
+      if (!closed) {
+        // An unclosed run must be worth a block on its own.
+        EXPECT_GE(blk.count, kMinFuseLength);
+        EXPECT_EQ(blk.code.back().num_costs, 0u);
+        EXPECT_EQ(blk.end_pc, 2 * exit_idx);
+        EXPECT_EQ(blk.next_taken, -1);
+      } else {
+        const Instr& branch = cache[exit_idx].ins;
+        const FusedInstr& f = blk.code.back();
+        EXPECT_TRUE(closes_block(branch));
+        EXPECT_EQ(blk.end_pc, 2 * (exit_idx + cache[exit_idx].halfwords));
+        EXPECT_EQ(f.pc4, 2 * exit_idx + 4);
+        // The closing branch's batched cost is its static cost, BCond at
+        // the not-taken cost (the dispatcher adds the taken cycle).
+        ASSERT_EQ(f.num_costs, 1u);
+        EXPECT_EQ(f.costs[0].cls, costmodel::InstrClass::kBranch);
+        unsigned static_cycles = 0;
+        switch (branch.op) {
+          case Op::kBCond:
+            // One token per condition.
+            EXPECT_EQ(exit_token(blk), bcond_token(branch.cond));
+            static_cycles = 1;
+            ++closing_bcond;
+            break;
+          case Op::kB:
+            EXPECT_TRUE(exit_is(blk, Op::kB));
+            static_cycles = 2;
+            break;
+          case Op::kBl:
+            EXPECT_TRUE(exit_is(blk, Op::kBl));
+            static_cycles = 3;
+            ++closing_bl;
+            // A 2-halfword BL: its second halfword is interior, its
+            // return site is not.
+            EXPECT_TRUE(is_block_interior(image, exit_idx + 1));
+            EXPECT_EQ(is_block_interior(image, exit_idx),
+                      exit_idx != blk.head_idx);
+            EXPECT_FALSE(is_block_interior(image, exit_idx + 2));
+            break;
+          case Op::kBx:
+            EXPECT_TRUE(exit_is(blk, Op::kBx));
+            EXPECT_NE(branch.rm, kPC);
+            static_cycles = 2;
+            ++closing_bx;
+            break;
+          default:
+            ADD_FAILURE() << "closing op " << op_name(branch.op);
+        }
+        EXPECT_EQ(f.costs[0].cycles, static_cycles);
+        if (branch.op == Op::kBx) {
+          EXPECT_EQ(blk.next_taken, -1);
+        } else {
+          EXPECT_EQ(blk.taken_pc, static_cast<std::uint32_t>(
+                                      2 * exit_idx + 4 + branch.imm));
+          ASSERT_LT(blk.taken_pc / 2, n);
+          EXPECT_EQ(blk.next_taken, image.block_at[blk.taken_pc / 2]);
         }
       }
+      // Successors are block_at of the fall-through and of the target.
+      EXPECT_EQ(blk.next_fall,
+                blk.end_pc / 2 < n ? image.block_at[blk.end_pc / 2] : -1);
       // The per-instruction static costs and the batched block delta
       // are the same numbers.
       EXPECT_EQ(cycles, blk.cycles);
       std::uint64_t hist_cycles = 0;
       for (const auto& [cls, cyc] : blk.hist) hist_cycles += cyc;
       EXPECT_EQ(hist_cycles, blk.cycles);
+      for (std::size_t h = blk.head_idx + 1; 2 * h < blk.end_pc; ++h) {
+        EXPECT_TRUE(is_block_interior(image, h));
+        EXPECT_EQ(image.block_at[h], -1);
+      }
     }
+    EXPECT_EQ(fused, image.fused_slots);
     // No label (= potential branch/call target) is interior to a block;
     // loop heads re-enter fused bodies at block heads only.
     for (const auto& [label, addr] : prog->symbols()) {
       EXPECT_FALSE(is_block_interior(image, addr / 2))
           << "label " << label << " interior to a fused block";
     }
-    // The straight-line kernels fuse nearly everything.
-    if (name != "inv") {
-      EXPECT_GT(image.fused_slots * 10, image.valid_slots * 9);
+    // Every kernel now fuses nearly everything, loops and calls
+    // included.
+    EXPECT_GT(image.fused_slots * 10, image.valid_slots * 9);
+  }
+  // The prime kernels exercise every closing-branch kind.
+  EXPECT_GT(closing_bl, 0u);
+  EXPECT_GT(closing_bcond, 0u);
+  EXPECT_GT(closing_bx, 0u);
+}
+
+// ---- Chained dispatch -------------------------------------------------
+//
+// The threaded engine runs from block to block without returning to its
+// chunk runner: through closing BCond/B loops, BL calls and BX returns.
+// The loop kernels below (the prime Montgomery multiply and binary-EEA
+// inversion, the K-233 EEA inversion) are where chains are long, so
+// every budget, snapshot and fault path is checked on them.
+
+constexpr const char* kChainKernels[] = {"p192-mont", "p192-inv", "inv"};
+
+/// Everything a run can leave behind.
+struct Machine {
+  ArchState arch;
+  RunStats stats;
+  bool halted = false;
+  std::vector<std::uint32_t> ram;
+
+  friend bool operator==(const Machine&, const Machine&) = default;
+};
+
+Machine machine_of(KernelMachine& m) {
+  return {m.cpu().arch_state(), m.cpu().stats(), m.cpu().halted(),
+          m.mem().read_words(kRamBase, kRamSize / 4)};
+}
+
+/// A fresh machine for `name` with its operands loaded and the calling
+/// convention of call() set up, without running anything.
+void arm_call(KernelMachine& m, const std::string& name) {
+  load_operands(name, m.mem());
+  m.cpu().set_reg(kLR, kReturnSentinel);
+  m.cpu().set_reg(kPC, m.prog().entry("entry"));
+}
+
+/// Instructions one call of `name` retires.
+std::uint64_t call_length(const std::string& name) {
+  KernelMachine m(name, Cpu::DecodeMode::kPerStep);
+  load_operands(name, m.mem());
+  return m.call().instructions;
+}
+
+/// Budgets 0..dense-1 plus `sampled` seeded draws up to the call length.
+std::vector<std::uint64_t> budgets_for(std::uint64_t length,
+                                       std::uint64_t dense,
+                                       unsigned sampled) {
+  std::vector<std::uint64_t> out;
+  for (std::uint64_t n = 0; n < dense && n <= length; ++n) out.push_back(n);
+  Rng rng(0xC4A1B5 + length);
+  for (unsigned i = 0; i < sampled; ++i) {
+    out.push_back(dense + rng.next_u64() % (length + 2 - dense));
+  }
+  return out;
+}
+
+void expect_machines_identical(const std::vector<Machine>& runs,
+                               const std::string& what) {
+  ASSERT_EQ(runs.size(), 3u);
+  for (std::size_t e = 1; e < runs.size(); ++e) {
+    SCOPED_TRACE(what + " engine#" + std::to_string(e));
+    EXPECT_EQ(runs[0].arch, runs[e].arch);
+    expect_stats_identical(runs[0].stats, runs[e].stats);
+    EXPECT_EQ(runs[0].halted, runs[e].halted);
+    EXPECT_EQ(runs[0].ram, runs[e].ram);
+  }
+}
+
+TEST(ThreadedChain, RunForStopsOnTheSameInstructionEverywhere) {
+  for (const std::string name : kChainKernels) {
+    SCOPED_TRACE(name);
+    const std::uint64_t length = call_length(name);
+    ASSERT_GT(length, 600u);
+    std::uint64_t chained = 0;
+    for (const std::uint64_t n : budgets_for(length, 600, 24)) {
+      std::vector<Machine> runs;
+      for (const Cpu::DecodeMode mode : kAllModes) {
+        KernelMachine m(name, mode);
+        arm_call(m, name);
+        EXPECT_EQ(m.cpu().run_for(n), std::min(n, length));
+        runs.push_back(machine_of(m));
+        if (mode == Cpu::DecodeMode::kThreaded) {
+          chained = std::max(chained, m.cpu().fused_blocks_entered());
+        }
+      }
+      expect_machines_identical(runs, "run_for(" + std::to_string(n) + ")");
+      if (HasFailure()) return;
+    }
+    EXPECT_GT(chained, 1u);
+  }
+}
+
+TEST(ThreadedChain, CallBudgetTripsOnTheSameInstructionEverywhere) {
+  for (const std::string name : kChainKernels) {
+    SCOPED_TRACE(name);
+    const std::uint64_t length = call_length(name);
+    for (const std::uint64_t n : budgets_for(length, 600, 24)) {
+      std::vector<Machine> runs;
+      std::vector<std::string> outcomes;
+      for (const Cpu::DecodeMode mode : kAllModes) {
+        KernelMachine m(name, mode);
+        load_operands(name, m.mem());
+        try {
+          m.cpu().call(m.prog().entry("entry"), {}, n);
+          outcomes.push_back("completed");
+        } catch (const BudgetFault& f) {
+          ASSERT_TRUE(f.has_state());
+          EXPECT_EQ(f.state(), m.cpu().arch_state());
+          outcomes.push_back("budget");
+        }
+        runs.push_back(machine_of(m));
+      }
+      EXPECT_EQ(outcomes[0], outcomes[1]);
+      EXPECT_EQ(outcomes[0], outcomes[2]);
+      // The budget trips after exactly n + 1 retirements, or the call
+      // completes when it fits.
+      EXPECT_EQ(outcomes[0], n >= length ? "completed" : "budget");
+      EXPECT_EQ(runs[0].stats.instructions, std::min(n + 1, length));
+      expect_machines_identical(runs, "budget " + std::to_string(n));
+      if (HasFailure()) return;
+    }
+  }
+}
+
+/// Per-step scout: the first retirement index at or after `min_index`
+/// whose PC is interior to a block that `pick` accepts.
+template <typename Pick>
+std::pair<MachineSnapshot, std::uint64_t> snapshot_inside(
+    const std::string& name, std::uint64_t min_index, Pick pick) {
+  KernelMachine m(name, Cpu::DecodeMode::kPerStep);
+  arm_call(m, name);
+  const ThreadedImage& image = m.prog().threaded();
+  while (m.cpu().step()) {
+    if (m.cpu().stats().instructions < min_index) continue;
+    const std::uint32_t idx = m.cpu().reg(kPC) / 2;
+    for (const SuperBlock& blk : image.blocks) {
+      if (idx > blk.head_idx && 2 * idx < blk.end_pc && pick(blk)) {
+        return {m.cpu().snapshot(), m.cpu().stats().instructions};
+      }
+    }
+  }
+  ADD_FAILURE() << "no PC inside an accepted block reached";
+  return {m.cpu().snapshot(), m.cpu().stats().instructions};
+}
+
+TEST(ThreadedChain, SnapshotInsideBlocksClosedByBlOrBcondResumesIdentically) {
+  struct Case {
+    const char* kernel;
+    const char* exit;
+    bool (*pick)(const SuperBlock&);
+  };
+  const Case cases[] = {
+      {"p192-mont", "BL", exits_on_bl},
+      {"p192-mont", "BCond", exits_on_bcond},
+      {"p192-inv", "BL", exits_on_bl},
+      {"inv", "BCond", exits_on_bcond},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.kernel) + " inside a block closed by " + c.exit);
+    const auto [snap, index] = snapshot_inside(c.kernel, 100, c.pick);
+    ASSERT_GE(index, 100u);
+    std::vector<Machine> runs;
+    for (const Cpu::DecodeMode mode : kAllModes) {
+      KernelMachine m(c.kernel, mode);
+      m.cpu().restore(snap);
+      EXPECT_GT(m.cpu().run().instructions, 0u);
+      EXPECT_TRUE(m.cpu().halted());
+      runs.push_back(machine_of(m));
+    }
+    expect_machines_identical(runs, "resume");
+  }
+}
+
+TEST(ThreadedChain, RegisterFlipAtAChainBoundaryIdentical) {
+  // Stop every engine exactly where the threaded engine commits one
+  // block of a chain and would have jumped into the next, flip a
+  // register there, and resume: each engine must take the corrupted
+  // run to the same end — the same typed fault or the same (wrong)
+  // result.
+  for (const std::string name : kChainKernels) {
+    SCOPED_TRACE(name);
+    // Per-step scout that follows the threaded engine's segmentation of
+    // the stream (a block wherever the PC sits on a head, one
+    // instruction elsewhere) and records, about every 1000
+    // retirements, a point where a branch-closed block ends on the head
+    // of the next: the threaded engine chains across exactly there.
+    std::vector<std::uint64_t> boundaries;
+    {
+      KernelMachine m(name, Cpu::DecodeMode::kPerStep);
+      arm_call(m, name);
+      const ThreadedImage& image = m.prog().threaded();
+      std::uint64_t next_pick = 300;
+      while (boundaries.size() < 4 && m.cpu().reg(kPC) != kReturnSentinel) {
+        const std::int32_t blk = image.block_at[m.cpu().reg(kPC) / 2];
+        if (blk < 0) {
+          m.cpu().step();
+          continue;
+        }
+        const SuperBlock& b = image.blocks[blk];
+        for (std::uint32_t i = 0; i < b.count; ++i) m.cpu().step();
+        const std::uint32_t landed = m.cpu().reg(kPC);
+        const std::uint64_t at = m.cpu().stats().instructions;
+        if (exit_token(b) != kEndOfBlockToken && at >= next_pick &&
+            landed != kReturnSentinel && image.block_at[landed / 2] >= 0) {
+          boundaries.push_back(at);
+          next_pick = at + 1000;
+        }
+      }
+    }
+    ASSERT_FALSE(boundaries.empty());
+    for (const std::uint64_t at : boundaries) {
+      for (const unsigned reg : {0u, 3u, 6u}) {
+        std::vector<Machine> runs;
+        std::vector<std::string> outcomes;
+        for (const Cpu::DecodeMode mode : kAllModes) {
+          KernelMachine m(name, mode);
+          arm_call(m, name);
+          ASSERT_EQ(m.cpu().run_for(at), at);
+          m.cpu().set_reg(reg, m.cpu().reg(reg) ^ 0x00010004u);
+          try {
+            m.cpu().run(1'000'000);
+            outcomes.push_back("completed");
+          } catch (const Fault& f) {
+            ASSERT_TRUE(f.has_state());
+            outcomes.push_back(f.message());
+          }
+          runs.push_back(machine_of(m));
+        }
+        EXPECT_EQ(outcomes[0], outcomes[1]);
+        EXPECT_EQ(outcomes[0], outcomes[2]);
+        expect_machines_identical(runs, "flip r" + std::to_string(reg) +
+                                            " at " + std::to_string(at));
+      }
     }
   }
 }

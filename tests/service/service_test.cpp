@@ -508,6 +508,31 @@ TEST(Server, ShutdownOpRequestsStop) {
   server.wait();  // returns promptly: stop was requested over the wire
 }
 
+TEST(Server, FinishedSessionsAreReaped) {
+  // Each connection used to keep its session thread (and its stack)
+  // until stop(). Sequential connect-ping-close cycles must leave the
+  // session count bounded: the accept loop joins ended sessions before
+  // it starts the next one.
+  Server server(test_config(1));
+  server.start();
+  constexpr int kCycles = 300;
+  for (int i = 0; i < kCycles; ++i) {
+    Client client;
+    client.connect_to(server.port());
+    ASSERT_TRUE(
+        client.call("ping", telemetry::Json::object()).get("ok")->as_bool());
+    client.close();
+  }
+  Client probe;
+  probe.connect_to(server.port());
+  const telemetry::Json resp = probe.call("stats", telemetry::Json::object());
+  ASSERT_TRUE(resp.get("ok")->as_bool());
+  const std::uint64_t sessions = resp.get("payload")->get("sessions")->as_u64();
+  EXPECT_GE(sessions, 1u);  // the probe's own session
+  EXPECT_LE(sessions, 16u) << "finished sessions are not being reaped";
+  server.stop();
+}
+
 TEST(Server, StatsEndpointReportsServeMetrics) {
   Server server(test_config(2));
   server.start();
@@ -522,6 +547,7 @@ TEST(Server, StatsEndpointReportsServeMetrics) {
   const telemetry::Json* payload = resp.get("payload");
   EXPECT_EQ(payload->get("workers")->as_u64(), 2u);
   EXPECT_EQ(payload->get("queue_depth")->as_u64(), 64u);
+  EXPECT_EQ(payload->get("sessions")->as_u64(), 1u);
   const telemetry::Json* metrics = payload->get("metrics");
   ASSERT_NE(metrics, nullptr);
   const telemetry::Json* counters = metrics->get("counters");
