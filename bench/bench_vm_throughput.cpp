@@ -4,7 +4,9 @@
 // paper's unrolled, fixed-register code — and, next to it, the secp192r1
 // field kernels in the mix a w=4 `kP` on that curve executes them: the
 // looping prime-field code with subroutine calls, where the threaded
-// engine's speed comes from chaining blocks across branches.
+// engine's speed comes from chaining blocks across branches. Both mixes
+// run through workloads::replay, the runner the replay and serve paths
+// use.
 //
 // Three engines run the exact same instruction stream:
 //   reference  — DecodeMode::kPerStep, the seed interpreter's
@@ -33,21 +35,16 @@
 // artifact).
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "armvm/cpu.h"
-#include "armvm/dispatch.h"
 #include "armvm/superinst.h"
-#include "asmkernels/gen.h"
 #include "ec/costing.h"
 #include "manifest.h"
 #include "report.h"
 #include "sim/batch.h"
 #include "telemetry/metrics.h"
-#include "workloads/kp_mix.h"
 #include "workloads/registry.h"
 #include "workloads/spec.h"
 
@@ -71,7 +68,6 @@ struct WorkloadResult {
   std::uint64_t output_digest = 0;
   // Threaded-engine fusion census (zero on the other engines).
   std::uint64_t fused_retired = 0;
-  std::uint64_t fused_blocks = 0;
 
   double mips() const {
     return static_cast<double>(stats.instructions) / seconds / 1e6;
@@ -88,60 +84,10 @@ void mix64(std::uint64_t& h, std::uint32_t v) {
   h ^= v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
 }
 
-/// One `kP`'s worth of field-kernel executions (counts taken from a real
-/// wTNAF w=4 sect233k1 run), repeated `reps` times on one engine.
-WorkloadResult run_workload(Cpu::DecodeMode mode, const ec::FieldOpCounts& ops,
-                            unsigned reps) {
-  workloads::KernelMachine mul(workloads::kernel("mul"), mode);
-  workloads::KernelMachine sqr(workloads::kernel("sqr"), mode);
-  workloads::KernelMachine inv(workloads::kernel("inv"), mode);
-
-  // Deterministic operands, same for every engine.
-  const workloads::KernelOperands& od = workloads::KernelOperands::standard();
-  workloads::load_mul_inputs(mul.mem(), od.x, od.y);
-  workloads::load_sqr_table(sqr.mem());
-  workloads::load_sqr_input(sqr.mem(), od.a);
-
-  WorkloadResult r;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (unsigned rep = 0; rep < reps; ++rep) {
-    for (std::uint64_t i = 0; i < ops.mul; ++i) mul.call();
-    for (std::uint64_t i = 0; i < ops.sqr; ++i) sqr.call();
-    for (std::uint64_t i = 0; i < ops.inv; ++i) {
-      // The EEA kernel consumes its scratch state; re-seed the input so
-      // every inversion runs the same (data-dependent) trace.
-      workloads::load_inv_input(inv.mem(), od.a);
-      inv.call();
-    }
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  r.seconds = std::chrono::duration<double>(t1 - t0).count();
-  r.stats = mul.cpu().stats();
-  r.stats.instructions += sqr.cpu().stats().instructions;
-  r.stats.instructions += inv.cpu().stats().instructions;
-  r.stats.cycles += sqr.cpu().stats().cycles + inv.cpu().stats().cycles;
-  r.stats.histogram += sqr.cpu().stats().histogram;
-  r.stats.histogram += inv.cpu().stats().histogram;
-  r.fused_retired = mul.cpu().fused_retired() + sqr.cpu().fused_retired() +
-                    inv.cpu().fused_retired();
-  r.fused_blocks = mul.cpu().fused_blocks_entered() +
-                   sqr.cpu().fused_blocks_entered() +
-                   inv.cpu().fused_blocks_entered();
-  for (int w = 0; w < 8; ++w) {
-    mix64(r.output_digest,
-          mul.mem().load32(armvm::kRamBase + asmkernels::kVOff + 4 * w));
-    mix64(r.output_digest,
-          sqr.mem().load32(armvm::kRamBase + asmkernels::kOutOff + 4 * w));
-    mix64(r.output_digest,
-          inv.mem().load32(armvm::kRamBase + asmkernels::kOutOff + 4 * w));
-  }
-  return r;
-}
-
-/// The secp192r1 kP field-kernel mix (Montgomery multiply and square,
-/// binary-EEA inversion), `reps` times on one engine.
-WorkloadResult run_prime_workload(const workloads::WorkloadSpec& spec,
-                                  Cpu::DecodeMode mode, unsigned reps) {
+/// One kP's field-kernel mix (`workloads::replay`), `reps` times on one
+/// engine.
+WorkloadResult run_mix(const workloads::WorkloadSpec& spec,
+                       Cpu::DecodeMode mode, unsigned reps) {
   const auto t0 = std::chrono::steady_clock::now();
   const workloads::ReplayResult rr =
       workloads::replay(spec, mode, armvm::MemModelConfig{}, reps);
@@ -159,7 +105,7 @@ WorkloadResult run_prime_workload(const workloads::WorkloadSpec& spec,
 /// shared images and runs one kP mix on the threaded engine. Returns the
 /// combined digest (order-independent by construction: serial fold over
 /// the per-task digests in index order).
-WorkloadResult run_batched(const ec::FieldOpCounts& ops, unsigned reps,
+WorkloadResult run_batched(const workloads::WorkloadSpec& spec, unsigned reps,
                            unsigned threads,
                            telemetry::MetricsRegistry* metrics) {
   sim::BatchExecutor pool(threads);
@@ -167,7 +113,7 @@ WorkloadResult run_batched(const ec::FieldOpCounts& ops, unsigned reps,
   const auto t0 = std::chrono::steady_clock::now();
   const std::vector<WorkloadResult> parts = pool.map<WorkloadResult>(
       reps, [&](std::size_t) {
-        return run_workload(Cpu::DecodeMode::kThreaded, ops, 1);
+        return run_mix(spec, Cpu::DecodeMode::kThreaded, 1);
       });
   const auto t1 = std::chrono::steady_clock::now();
   WorkloadResult r;
@@ -177,7 +123,6 @@ WorkloadResult run_batched(const ec::FieldOpCounts& ops, unsigned reps,
     r.stats.cycles += p.stats.cycles;
     r.stats.histogram += p.stats.histogram;
     r.fused_retired += p.fused_retired;
-    r.fused_blocks += p.fused_blocks;
     mix64(r.output_digest, static_cast<std::uint32_t>(p.output_digest));
     mix64(r.output_digest, static_cast<std::uint32_t>(p.output_digest >> 32));
   }
@@ -193,21 +138,13 @@ bool identical(const armvm::RunStats& a, const armvm::RunStats& b) {
   return ea.energy_uj() == eb.energy_uj() && ea.time_ms() == eb.time_ms();
 }
 
-const char* dispatch_name() {
-  return armvm::threaded_dispatch_uses_computed_goto() ? "computed-goto"
-                                                       : "switch";
-}
-
-/// Dynamic coverage one threaded workload run saw. The replayed
-/// secp192r1 mix reports no block count (ReplayResult carries none).
-telemetry::Json fusion_census(const char* workload, const WorkloadResult& r,
-                              bool with_blocks) {
+/// Dynamic coverage one threaded workload run saw.
+telemetry::Json fusion_census(const char* workload, const WorkloadResult& r) {
   using telemetry::Json;
   Json d = Json::object();
   d.set("workload", Json::str(workload));
   d.set("instructions", Json::number(r.stats.instructions));
   d.set("fused_retired", Json::number(r.fused_retired));
-  if (with_blocks) d.set("fused_blocks_entered", Json::number(r.fused_blocks));
   d.set("fused_fraction", Json::number(r.fused_fraction()));
   return d;
 }
@@ -220,7 +157,6 @@ telemetry::Json fusion_report(const WorkloadResult& thr,
   using telemetry::Json;
   Json p = Json::object();
   p.set("report", Json::str("superinstruction_fusion"));
-  p.set("dispatch", Json::str(dispatch_name()));
   p.set("min_fuse_length",
         Json::number(static_cast<std::uint64_t>(armvm::kMinFuseLength)));
   Json kernels = Json::object();
@@ -243,9 +179,9 @@ telemetry::Json fusion_report(const WorkloadResult& thr,
     kernels.set(name, std::move(k));
   }
   p.set("static", std::move(kernels));
-  p.set("dynamic", fusion_census("wTNAF w=4 kP field-kernel mix", thr, true));
+  p.set("dynamic", fusion_census("wTNAF w=4 kP field-kernel mix", thr));
   p.set("dynamic_secp192r1",
-        fusion_census("w=4 kP field-kernel mix, secp192r1", prime_thr, false));
+        fusion_census("w=4 kP field-kernel mix, secp192r1", prime_thr));
   return p;
 }
 
@@ -285,21 +221,19 @@ int main(int argc, char** argv) {
   bench::banner("VM host throughput - threaded / pre-decoded / per-step");
 
   // Field-op mix of one real wTNAF w=4 kP on sect233k1.
-  const ec::FieldOpCounts& ops = workloads::kp_mix_sect233k1();
+  const workloads::WorkloadSpec k233 = workloads::kp_workload("sect233k1");
+  const ec::FieldOpCounts& ops = k233.ops;
   std::printf("kP workload (wTNAF w=4, sect233k1): %llu mul, %llu sqr, "
-              "%llu inv per rep; %u rep(s), best of %u rounds\n"
-              "threaded dispatch: %s\n\n",
+              "%llu inv per rep; %u rep(s), best of %u rounds\n\n",
               static_cast<unsigned long long>(ops.mul),
               static_cast<unsigned long long>(ops.sqr),
-              static_cast<unsigned long long>(ops.inv), reps, rounds,
-              armvm::threaded_dispatch_uses_computed_goto() ? "computed goto"
-                                                            : "switch");
+              static_cast<unsigned long long>(ops.inv), reps, rounds);
 
   WorkloadResult ref, pre, thr;
   for (unsigned round = 0; round < rounds; ++round) {
-    WorkloadResult a = run_workload(Cpu::DecodeMode::kPerStep, ops, reps);
-    WorkloadResult b = run_workload(Cpu::DecodeMode::kPredecode, ops, reps);
-    WorkloadResult c = run_workload(Cpu::DecodeMode::kThreaded, ops, reps);
+    WorkloadResult a = run_mix(k233, Cpu::DecodeMode::kPerStep, reps);
+    WorkloadResult b = run_mix(k233, Cpu::DecodeMode::kPredecode, reps);
+    WorkloadResult c = run_mix(k233, Cpu::DecodeMode::kThreaded, reps);
     if (!identical(a.stats, b.stats) || a.output_digest != b.output_digest ||
         !identical(a.stats, c.stats) || a.output_digest != c.output_digest) {
       std::fprintf(stderr,
@@ -326,10 +260,8 @@ int main(int argc, char** argv) {
   const workloads::WorkloadSpec prime = workloads::kp_workload("secp192r1");
   WorkloadResult pre_p, thr_p;
   for (unsigned round = 0; round < rounds; ++round) {
-    WorkloadResult b =
-        run_prime_workload(prime, Cpu::DecodeMode::kPredecode, reps);
-    WorkloadResult c =
-        run_prime_workload(prime, Cpu::DecodeMode::kThreaded, reps);
+    WorkloadResult b = run_mix(prime, Cpu::DecodeMode::kPredecode, reps);
+    WorkloadResult c = run_mix(prime, Cpu::DecodeMode::kThreaded, reps);
     if (!identical(b.stats, c.stats) || b.output_digest != c.output_digest) {
       std::fprintf(stderr,
                    "FAIL: engines diverged on the secp192r1 mix (cycles "
@@ -351,9 +283,9 @@ int main(int argc, char** argv) {
   // run (measuring the identical loop twice only reports host noise).
   const unsigned pool_threads = sim::BatchExecutor(threads).threads();
   telemetry::MetricsRegistry metrics;
-  const WorkloadResult serial1 = run_batched(ops, reps, 1, &metrics);
+  const WorkloadResult serial1 = run_batched(k233, reps, 1, &metrics);
   const WorkloadResult batched =
-      pool_threads <= 1 ? serial1 : run_batched(ops, reps, threads, &metrics);
+      pool_threads <= 1 ? serial1 : run_batched(k233, reps, threads, &metrics);
   if (batched.output_digest != serial1.output_digest ||
       batched.stats.instructions != serial1.stats.instructions ||
       batched.stats.cycles != serial1.stats.cycles) {
@@ -406,11 +338,9 @@ int main(int argc, char** argv) {
               "across all engines\n",
               speedup, threaded_speedup, prime_threaded_speedup,
               kPrimeThreadedTarget);
-  std::printf("Fusion: %.1f%% of retirements inside superblocks "
-              "(%llu blocks entered); secp192r1 mix %.1f%%\n",
-              100.0 * thr.fused_fraction(),
-              static_cast<unsigned long long>(thr.fused_blocks),
-              100.0 * thr_p.fused_fraction());
+  std::printf("Fusion: %.1f%% of retirements inside superblocks; "
+              "secp192r1 mix %.1f%%\n",
+              100.0 * thr.fused_fraction(), 100.0 * thr_p.fused_fraction());
   std::printf("Batch executor: %.2fx over 1-thread serial (%u worker(s)), "
               "digest bit-identical\n",
               batch_speedup, pool_threads);
@@ -432,12 +362,10 @@ int main(int argc, char** argv) {
     Json predecoded = engine_json(engine_head("pre-decoded cache"), pre);
     predecoded.set("sim_mips", Json::number(pre.mips()));
     p.set("predecoded", std::move(predecoded));
-    Json threaded_head = engine_head("token-threaded + superinstructions");
-    threaded_head.set("dispatch", Json::str(dispatch_name()));
-    Json threaded = engine_json(std::move(threaded_head), thr);
+    Json threaded =
+        engine_json(engine_head("token-threaded + superinstructions"), thr);
     threaded.set("sim_mips", Json::number(thr.mips()));
     threaded.set("fused_retired", Json::number(thr.fused_retired));
-    threaded.set("fused_blocks_entered", Json::number(thr.fused_blocks));
     threaded.set("fused_fraction", Json::number(thr.fused_fraction()));
     p.set("threaded", std::move(threaded));
     Json batched_head = engine_head("threaded, batch executor");

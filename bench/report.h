@@ -91,7 +91,7 @@ inline std::string json_flag_path(int argc, char** argv,
 ///   --threads=N    batch-executor worker count (0 = hardware concurrency)
 ///   --seed=S       campaign seed, 0x.. accepted
 ///   --iters=N      workload scale (reps / runs / calls / traces)
-///   --engine=E     execution engine: perstep|predecode|threaded
+///   --engine=E     execution engine: perstep|threaded
 ///                  (armvm::decode_mode_from_name validates the value)
 ///   --mem=M        RAM protection model: raw|parity|secded
 ///                  (armvm::mem_model_from_name validates the value)
@@ -217,7 +217,7 @@ class Args {
   std::string usage_suffix() const {
     std::string s =
         " (standard flags: --json[=PATH] --threads=N --seed=S --iters=N"
-        " --engine=perstep|predecode|threaded --mem=raw|parity|secded"
+        " --engine=perstep|threaded --mem=raw|parity|secded"
         " --curve=NAME --progress[=off|plain]";
     std::string extra;
     for (const auto& [name, dst] : flags_) {

@@ -63,7 +63,7 @@
 // fixed-vs-random TVLA campaign on the power rig — prints the verdict
 // and writes the per-cycle |t| trace to ecctool_ttrace.json for
 // Perfetto. The multi-command flags share the bench::Args conventions
-// (--threads=N, --seed=S, and --engine=perstep|predecode|threaded to
+// (--threads=N, --seed=S, and --engine=perstep|threaded to
 // pick the armvm execution engine; traced subcommands observe identical
 // streams on every engine).
 #include <algorithm>
@@ -156,7 +156,7 @@ int usage() {
                " [--json[=P]]\n"
                "       ecctool client <op> --port=P [--curve=C] [--iters=N]"
                " [--params=JSON] [--raw=BODY]\n"
-               "  (E = perstep|predecode|threaded, M = raw|parity|secded,\n"
+               "  (E = perstep|threaded, M = raw|parity|secded,\n"
                "   C = sect233k1|secp192r1|secp224r1|secp256r1;\n"
                "   simulation subcommands also take --json[=PATH] for a run\n"
                "   manifest and --progress[=off|plain] for live progress)\n");

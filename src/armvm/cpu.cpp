@@ -300,24 +300,6 @@ void Cpu::trap_undecodable(std::size_t idx) const {
   throw std::logic_error("Cpu: predecode-invalid slot decoded cleanly");
 }
 
-void Cpu::set_nz(std::uint32_t v) {
-  n_ = (v >> 31) != 0;
-  z_ = v == 0;
-}
-
-std::uint32_t Cpu::add_with_carry(std::uint32_t a, std::uint32_t b, bool cin,
-                                  bool set_flags) {
-  const std::uint64_t wide =
-      static_cast<std::uint64_t>(a) + b + (cin ? 1 : 0);
-  const auto result = static_cast<std::uint32_t>(wide);
-  if (set_flags) {
-    set_nz(result);
-    c_ = (wide >> 32) != 0;
-    v_ = (~(a ^ b) & (a ^ result) & 0x80000000u) != 0;
-  }
-  return result;
-}
-
 ArchState Cpu::arch_state() const {
   ArchState s;
   for (unsigned i = 0; i < kNumRegs; ++i) s.r[i] = r_[i];
@@ -602,10 +584,13 @@ RunStats Cpu::run(std::uint64_t max_instructions) {
 }
 
 template <bool kTraced>
-void Cpu::exec(const Instr& i, unsigned halfwords) {
-  const std::uint32_t pc4 =
+void Cpu::exec(const Instr& I, unsigned halfwords) {
+  const std::uint32_t PC4 =
       r_[kPC] - 2 * halfwords + 4;  // instruction address + 4
-  auto branch_to = [&](std::uint32_t target) {
+  std::uint32_t* const r = r_;
+  const FlagRefs fl{n_, z_, c_, v_};
+  const auto branch_to = [&](std::uint32_t target)
+                             __attribute__((always_inline)) {
     if (target == kReturnSentinel) {
       halted_ = true;
       r_[kPC] = kReturnSentinel;
@@ -613,450 +598,60 @@ void Cpu::exec(const Instr& i, unsigned halfwords) {
     }
     r_[kPC] = target & ~1u;
   };
+  const auto mem_read = [&](std::uint32_t addr, unsigned bytes)
+                            __attribute__((always_inline)) {
+    return read_mem<kTraced>(addr, bytes);
+  };
+  const auto mem_write = [&](std::uint32_t addr, std::uint32_t value,
+                             unsigned bytes) __attribute__((always_inline)) {
+    write_mem<kTraced>(addr, value, bytes);
+  };
 
-  switch (i.op) {
-    case Op::kLslImm:
-    case Op::kLsrImm:
-    case Op::kAsrImm: {
-      const std::uint32_t v = r_[i.rm];
-      std::uint32_t res;
-      unsigned amount = static_cast<unsigned>(i.imm);
-      if (i.op == Op::kLslImm) {
-        res = amount == 0 ? v : (v << amount);
-        if (amount != 0) c_ = (v >> (32 - amount)) & 1;
-      } else if (i.op == Op::kLsrImm) {
-        if (amount == 0) amount = 32;
-        res = amount == 32 ? 0 : (v >> amount);
-        c_ = amount == 32 ? (v >> 31) & 1 : (v >> (amount - 1)) & 1;
-      } else {
-        if (amount == 0) amount = 32;
-        if (amount == 32) {
-          res = (v >> 31) ? ~0u : 0u;
-          c_ = (v >> 31) & 1;
-        } else {
-          res = static_cast<std::uint32_t>(static_cast<std::int32_t>(v) >>
-                                           amount);
-          c_ = (v >> (amount - 1)) & 1;
-        }
-      }
-      r_[i.rd] = res;
-      set_nz(res);
-      account<kTraced>(i.op == Op::kLslImm && i.imm == 0
-                  ? InstrClass::kMov
-                  : (i.op == Op::kLslImm ? InstrClass::kLsl
-                                         : InstrClass::kLsr),
-              1);
-      break;
-    }
-    case Op::kLslReg:
-    case Op::kLsrReg:
-    case Op::kAsrReg:
-    case Op::kRorReg: {
-      const unsigned amount = r_[i.rm] & 0xFF;
-      std::uint32_t v = r_[i.rd];
-      if (amount != 0) {
-        if (i.op == Op::kLslReg) {
-          if (amount < 32) {
-            c_ = (v >> (32 - amount)) & 1;
-            v <<= amount;
-          } else {
-            c_ = amount == 32 ? (v & 1) : false;
-            v = 0;
-          }
-        } else if (i.op == Op::kLsrReg) {
-          if (amount < 32) {
-            c_ = (v >> (amount - 1)) & 1;
-            v >>= amount;
-          } else {
-            c_ = amount == 32 ? (v >> 31) & 1 : false;
-            v = 0;
-          }
-        } else if (i.op == Op::kAsrReg) {
-          if (amount < 32) {
-            c_ = (v >> (amount - 1)) & 1;
-            v = static_cast<std::uint32_t>(static_cast<std::int32_t>(v) >>
-                                           amount);
-          } else {
-            c_ = (v >> 31) & 1;
-            v = (v >> 31) ? ~0u : 0u;
-          }
-        } else {  // ROR
-          const unsigned rot = amount % 32;
-          if (rot != 0) v = (v >> rot) | (v << (32 - rot));
-          c_ = (v >> 31) & 1;
-        }
-      }
-      r_[i.rd] = v;
-      set_nz(v);
-      account<kTraced>(i.op == Op::kLslReg ? InstrClass::kLsl : InstrClass::kLsr, 1);
-      break;
-    }
-    case Op::kAddReg:
-      r_[i.rd] = add_with_carry(r_[i.rn], r_[i.rm], false, true);
-      account<kTraced>(InstrClass::kAdd, 1);
-      break;
-    case Op::kSubReg:
-      r_[i.rd] = add_with_carry(r_[i.rn], ~r_[i.rm], true, true);
-      account<kTraced>(InstrClass::kAdd, 1);
-      break;
-    case Op::kAddImm3:
-      r_[i.rd] = add_with_carry(r_[i.rn], static_cast<std::uint32_t>(i.imm),
-                                false, true);
-      account<kTraced>(InstrClass::kAdd, 1);
-      break;
-    case Op::kSubImm3:
-      r_[i.rd] = add_with_carry(r_[i.rn], ~static_cast<std::uint32_t>(i.imm),
-                                true, true);
-      account<kTraced>(InstrClass::kAdd, 1);
-      break;
-    case Op::kMovImm:
-      r_[i.rd] = static_cast<std::uint32_t>(i.imm);
-      set_nz(r_[i.rd]);
-      account<kTraced>(InstrClass::kMov, 1);
-      break;
-    case Op::kCmpImm:
-      (void)add_with_carry(r_[i.rd], ~static_cast<std::uint32_t>(i.imm), true,
-                           true);
-      account<kTraced>(InstrClass::kAdd, 1);
-      break;
-    case Op::kAddImm8:
-      r_[i.rd] = add_with_carry(r_[i.rd], static_cast<std::uint32_t>(i.imm),
-                                false, true);
-      account<kTraced>(InstrClass::kAdd, 1);
-      break;
-    case Op::kSubImm8:
-      r_[i.rd] = add_with_carry(r_[i.rd], ~static_cast<std::uint32_t>(i.imm),
-                                true, true);
-      account<kTraced>(InstrClass::kAdd, 1);
-      break;
-    case Op::kAnd:
-      r_[i.rd] &= r_[i.rm];
-      set_nz(r_[i.rd]);
-      account<kTraced>(InstrClass::kEor, 1);
-      break;
-    case Op::kEor:
-      r_[i.rd] ^= r_[i.rm];
-      set_nz(r_[i.rd]);
-      account<kTraced>(InstrClass::kEor, 1);
-      break;
-    case Op::kAdc:
-      r_[i.rd] = add_with_carry(r_[i.rd], r_[i.rm], c_, true);
-      account<kTraced>(InstrClass::kAdd, 1);
-      break;
-    case Op::kSbc:
-      r_[i.rd] = add_with_carry(r_[i.rd], ~r_[i.rm], c_, true);
-      account<kTraced>(InstrClass::kAdd, 1);
-      break;
-    case Op::kTst:
-      set_nz(r_[i.rd] & r_[i.rm]);
-      account<kTraced>(InstrClass::kEor, 1);
-      break;
-    case Op::kRsb:
-      r_[i.rd] = add_with_carry(~r_[i.rm], 0, true, true);
-      account<kTraced>(InstrClass::kAdd, 1);
-      break;
-    case Op::kCmpReg:
-      (void)add_with_carry(r_[i.rd], ~r_[i.rm], true, true);
-      account<kTraced>(InstrClass::kAdd, 1);
-      break;
-    case Op::kCmn:
-      (void)add_with_carry(r_[i.rd], r_[i.rm], false, true);
-      account<kTraced>(InstrClass::kAdd, 1);
-      break;
-    case Op::kOrr:
-      r_[i.rd] |= r_[i.rm];
-      set_nz(r_[i.rd]);
-      account<kTraced>(InstrClass::kEor, 1);
-      break;
-    case Op::kMul:
-      r_[i.rd] *= r_[i.rm];
-      set_nz(r_[i.rd]);
-      account<kTraced>(InstrClass::kMul, 1);  // single-cycle multiplier option
-      break;
-    case Op::kBic:
-      r_[i.rd] &= ~r_[i.rm];
-      set_nz(r_[i.rd]);
-      account<kTraced>(InstrClass::kEor, 1);
-      break;
-    case Op::kMvn:
-      r_[i.rd] = ~r_[i.rm];
-      set_nz(r_[i.rd]);
-      account<kTraced>(InstrClass::kEor, 1);
-      break;
-    case Op::kAddHi: {
-      const std::uint32_t rm = i.rm == kPC ? pc4 : r_[i.rm];
-      if (i.rd == kPC) {
-        branch_to(r_[kPC] - 2 * halfwords + 4 + rm);  // rare; treated as branch
+  switch (I.op) {
+#define ECCM0_OP(name)   \
+  case Op::k##name: {    \
+    constexpr Op kOp = Op::k##name;
+#define ECCM0_OP_END        \
+  charge<kTraced>(kOp, I);  \
+  break;                    \
+  }
+#define ECCM0_WRITE_PC(target) branch_to(target)
+#include "armvm/ops.inc"
+#undef ECCM0_OP
+#undef ECCM0_OP_END
+#undef ECCM0_WRITE_PC
+    case Op::kBCond:
+      if (fl.holds(I.cond)) {
+        branch_to(PC4 + static_cast<std::uint32_t>(I.imm));
+        // Taken: one more cycle than static_costs, charged as one pair.
         account<kTraced>(InstrClass::kBranch, 2);
         break;
       }
-      r_[i.rd] += rm;
-      account<kTraced>(InstrClass::kAdd, 1);
+      charge<kTraced>(Op::kBCond, I);
       break;
-    }
-    case Op::kCmpHi:
-      (void)add_with_carry(r_[i.rd], ~r_[i.rm], true, true);
-      account<kTraced>(InstrClass::kAdd, 1);
-      break;
-    case Op::kMovHi: {
-      const std::uint32_t v = i.rm == kPC ? pc4 : r_[i.rm];
-      if (i.rd == kPC) {
-        branch_to(v);
-        account<kTraced>(InstrClass::kBranch, 2);
-        break;
-      }
-      r_[i.rd] = v;
-      account<kTraced>(InstrClass::kMov, 1);
-      break;
-    }
-    case Op::kBx:
-      branch_to(r_[i.rm]);
-      account<kTraced>(InstrClass::kBranch, 2);
-      break;
-    case Op::kBlx: {
-      const std::uint32_t target = r_[i.rm];
-      r_[kLR] = (r_[kPC]) | 1u;  // next instruction
-      branch_to(target);
-      account<kTraced>(InstrClass::kBranch, 2);
-      break;
-    }
-    case Op::kLdrLit: {
-      const std::uint32_t base = pc4 & ~3u;
-      r_[i.rd] = read_mem<kTraced>(base + static_cast<std::uint32_t>(i.imm), 4);
-      account<kTraced>(InstrClass::kLdr, 2);
-      break;
-    }
-    case Op::kLdrImm:
-      r_[i.rd] = read_mem<kTraced>(r_[i.rn] + static_cast<std::uint32_t>(i.imm), 4);
-      account<kTraced>(InstrClass::kLdr, 2);
-      break;
-    case Op::kStrImm:
-      write_mem<kTraced>(r_[i.rn] + static_cast<std::uint32_t>(i.imm), r_[i.rd], 4);
-      account<kTraced>(InstrClass::kStr, 2);
-      break;
-    case Op::kLdrbImm:
-      r_[i.rd] = read_mem<kTraced>(r_[i.rn] + static_cast<std::uint32_t>(i.imm), 1);
-      account<kTraced>(InstrClass::kLdr, 2);
-      break;
-    case Op::kStrbImm:
-      write_mem<kTraced>(r_[i.rn] + static_cast<std::uint32_t>(i.imm), r_[i.rd], 1);
-      account<kTraced>(InstrClass::kStr, 2);
-      break;
-    case Op::kLdrhImm:
-      r_[i.rd] = read_mem<kTraced>(r_[i.rn] + static_cast<std::uint32_t>(i.imm), 2);
-      account<kTraced>(InstrClass::kLdr, 2);
-      break;
-    case Op::kStrhImm:
-      write_mem<kTraced>(r_[i.rn] + static_cast<std::uint32_t>(i.imm), r_[i.rd], 2);
-      account<kTraced>(InstrClass::kStr, 2);
-      break;
-    case Op::kLdrReg:
-      r_[i.rd] = read_mem<kTraced>(r_[i.rn] + r_[i.rm], 4);
-      account<kTraced>(InstrClass::kLdr, 2);
-      break;
-    case Op::kStrReg:
-      write_mem<kTraced>(r_[i.rn] + r_[i.rm], r_[i.rd], 4);
-      account<kTraced>(InstrClass::kStr, 2);
-      break;
-    case Op::kLdrbReg:
-      r_[i.rd] = read_mem<kTraced>(r_[i.rn] + r_[i.rm], 1);
-      account<kTraced>(InstrClass::kLdr, 2);
-      break;
-    case Op::kStrbReg:
-      write_mem<kTraced>(r_[i.rn] + r_[i.rm], r_[i.rd], 1);
-      account<kTraced>(InstrClass::kStr, 2);
-      break;
-    case Op::kLdrhReg:
-      r_[i.rd] = read_mem<kTraced>(r_[i.rn] + r_[i.rm], 2);
-      account<kTraced>(InstrClass::kLdr, 2);
-      break;
-    case Op::kLdrsbReg:
-      r_[i.rd] = static_cast<std::uint32_t>(static_cast<std::int32_t>(
-          static_cast<std::int8_t>(read_mem<kTraced>(r_[i.rn] + r_[i.rm], 1))));
-      account<kTraced>(InstrClass::kLdr, 2);
-      break;
-    case Op::kLdrshReg:
-      r_[i.rd] = static_cast<std::uint32_t>(static_cast<std::int32_t>(
-          static_cast<std::int16_t>(read_mem<kTraced>(r_[i.rn] + r_[i.rm], 2))));
-      account<kTraced>(InstrClass::kLdr, 2);
-      break;
-    case Op::kStrhReg:
-      write_mem<kTraced>(r_[i.rn] + r_[i.rm], r_[i.rd], 2);
-      account<kTraced>(InstrClass::kStr, 2);
-      break;
-    case Op::kLdrSp:
-      r_[i.rd] = read_mem<kTraced>(r_[kSP] + static_cast<std::uint32_t>(i.imm), 4);
-      account<kTraced>(InstrClass::kLdr, 2);
-      break;
-    case Op::kStrSp:
-      write_mem<kTraced>(r_[kSP] + static_cast<std::uint32_t>(i.imm), r_[i.rd], 4);
-      account<kTraced>(InstrClass::kStr, 2);
-      break;
-    case Op::kAddSpImm7:
-      r_[kSP] += static_cast<std::uint32_t>(i.imm);
-      account<kTraced>(InstrClass::kAdd, 1);
-      break;
-    case Op::kSubSpImm7:
-      r_[kSP] -= static_cast<std::uint32_t>(i.imm);
-      account<kTraced>(InstrClass::kAdd, 1);
-      break;
-    case Op::kAddRdSp:
-      r_[i.rd] = r_[kSP] + static_cast<std::uint32_t>(i.imm);
-      account<kTraced>(InstrClass::kAdd, 1);
-      break;
-    case Op::kAdr:
-      r_[i.rd] = (pc4 & ~3u) + static_cast<std::uint32_t>(i.imm);
-      account<kTraced>(InstrClass::kAdd, 1);
-      break;
-    case Op::kPush: {
-      unsigned n = 0;
-      for (unsigned b = 0; b < 9; ++b) n += (i.reg_list >> b) & 1;
-      std::uint32_t sp = r_[kSP] - 4 * n;
-      r_[kSP] = sp;
-      for (unsigned b = 0; b < 8; ++b) {
-        if (i.reg_list & (1u << b)) {
-          write_mem<kTraced>(sp, r_[b], 4);
-          sp += 4;
-        }
-      }
-      if (i.reg_list & 0x100) write_mem<kTraced>(sp, r_[kLR], 4);
-      account<kTraced>(InstrClass::kStr, n);
-      account<kTraced>(InstrClass::kOther, 1);
-      break;
-    }
-    case Op::kPop: {
-      unsigned n = 0;
-      for (unsigned b = 0; b < 9; ++b) n += (i.reg_list >> b) & 1;
-      std::uint32_t sp = r_[kSP];
-      for (unsigned b = 0; b < 8; ++b) {
-        if (i.reg_list & (1u << b)) {
-          r_[b] = read_mem<kTraced>(sp, 4);
-          sp += 4;
-        }
-      }
-      bool to_pc = false;
-      if (i.reg_list & 0x100) {
-        branch_to(read_mem<kTraced>(sp, 4));
-        sp += 4;
-        to_pc = true;
-      }
-      r_[kSP] = sp;
-      account<kTraced>(InstrClass::kLdr, n);
-      account<kTraced>(InstrClass::kOther, to_pc ? 3 : 1);
-      break;
-    }
-    case Op::kStm: {
-      std::uint32_t addr = r_[i.rn];
-      unsigned n = 0;
-      for (unsigned b = 0; b < 8; ++b) {
-        if (i.reg_list & (1u << b)) {
-          write_mem<kTraced>(addr, r_[b], 4);
-          addr += 4;
-          ++n;
-        }
-      }
-      r_[i.rn] = addr;
-      account<kTraced>(InstrClass::kStr, n);
-      account<kTraced>(InstrClass::kOther, 1);
-      break;
-    }
-    case Op::kLdm: {
-      std::uint32_t addr = r_[i.rn];
-      unsigned n = 0;
-      const bool base_in_list = (i.reg_list >> i.rn) & 1;
-      for (unsigned b = 0; b < 8; ++b) {
-        if (i.reg_list & (1u << b)) {
-          r_[b] = read_mem<kTraced>(addr, 4);
-          addr += 4;
-          ++n;
-        }
-      }
-      if (!base_in_list) r_[i.rn] = addr;
-      account<kTraced>(InstrClass::kLdr, n);
-      account<kTraced>(InstrClass::kOther, 1);
-      break;
-    }
-    case Op::kBCond: {
-      bool take = false;
-      switch (i.cond) {
-        case Cond::kEq: take = z_; break;
-        case Cond::kNe: take = !z_; break;
-        case Cond::kCs: take = c_; break;
-        case Cond::kCc: take = !c_; break;
-        case Cond::kMi: take = n_; break;
-        case Cond::kPl: take = !n_; break;
-        case Cond::kVs: take = v_; break;
-        case Cond::kVc: take = !v_; break;
-        case Cond::kHi: take = c_ && !z_; break;
-        case Cond::kLs: take = !c_ || z_; break;
-        case Cond::kGe: take = n_ == v_; break;
-        case Cond::kLt: take = n_ != v_; break;
-        case Cond::kGt: take = !z_ && n_ == v_; break;
-        case Cond::kLe: take = z_ || n_ != v_; break;
-      }
-      if (take) {
-        branch_to(pc4 + static_cast<std::uint32_t>(i.imm));
-        account<kTraced>(InstrClass::kBranch, 2);
-      } else {
-        account<kTraced>(InstrClass::kBranch, 1);
-      }
-      break;
-    }
     case Op::kB:
-      branch_to(pc4 + static_cast<std::uint32_t>(i.imm));
-      account<kTraced>(InstrClass::kBranch, 2);
+      branch_to(PC4 + static_cast<std::uint32_t>(I.imm));
+      charge<kTraced>(Op::kB, I);
       break;
     case Op::kBl:
-      r_[kLR] = r_[kPC] | 1u;  // return address (past both halfwords)
-      branch_to(pc4 + static_cast<std::uint32_t>(i.imm));
-      account<kTraced>(InstrClass::kBranch, 3);
+      r[kLR] = r[kPC] | 1u;  // return address (past both halfwords)
+      branch_to(PC4 + static_cast<std::uint32_t>(I.imm));
+      charge<kTraced>(Op::kBl, I);
       break;
-    case Op::kSxth:
-      r_[i.rd] = static_cast<std::uint32_t>(static_cast<std::int32_t>(
-          static_cast<std::int16_t>(r_[i.rm])));
-      account<kTraced>(InstrClass::kMov, 1);
+    case Op::kBx:
+      branch_to(r[I.rm]);
+      charge<kTraced>(Op::kBx, I);
       break;
-    case Op::kSxtb:
-      r_[i.rd] = static_cast<std::uint32_t>(static_cast<std::int32_t>(
-          static_cast<std::int8_t>(r_[i.rm])));
-      account<kTraced>(InstrClass::kMov, 1);
-      break;
-    case Op::kUxth:
-      r_[i.rd] = r_[i.rm] & 0xFFFFu;
-      account<kTraced>(InstrClass::kMov, 1);
-      break;
-    case Op::kUxtb:
-      r_[i.rd] = r_[i.rm] & 0xFFu;
-      account<kTraced>(InstrClass::kMov, 1);
-      break;
-    case Op::kRev: {
-      const std::uint32_t v = r_[i.rm];
-      r_[i.rd] = (v >> 24) | ((v >> 8) & 0xFF00u) | ((v << 8) & 0xFF0000u) |
-                 (v << 24);
-      account<kTraced>(InstrClass::kMov, 1);
+    case Op::kBlx: {
+      const std::uint32_t target = r[I.rm];
+      r[kLR] = r[kPC] | 1u;  // next instruction
+      branch_to(target);
+      charge<kTraced>(Op::kBlx, I);
       break;
     }
-    case Op::kRev16: {
-      const std::uint32_t v = r_[i.rm];
-      r_[i.rd] = ((v >> 8) & 0x00FF00FFu) | ((v << 8) & 0xFF00FF00u);
-      account<kTraced>(InstrClass::kMov, 1);
-      break;
-    }
-    case Op::kRevsh: {
-      const std::uint32_t v = r_[i.rm];
-      const std::uint16_t half =
-          static_cast<std::uint16_t>(((v >> 8) & 0xFFu) | ((v & 0xFFu) << 8));
-      r_[i.rd] = static_cast<std::uint32_t>(static_cast<std::int32_t>(
-          static_cast<std::int16_t>(half)));
-      account<kTraced>(InstrClass::kMov, 1);
-      break;
-    }
-    case Op::kNop:
-      account<kTraced>(InstrClass::kOther, 1);
-      break;
     case Op::kBkpt:
       halted_ = true;
-      account<kTraced>(InstrClass::kOther, 1);
+      charge<kTraced>(Op::kBkpt, I);
       break;
   }
 }

@@ -1,7 +1,10 @@
 // Cortex-M0+ style execution core: Thumb-1 interpreter with the M0+
 // cycle model (loads/stores 2 cycles, taken branches 2, LDM/STM 1+N,
 // single-cycle multiplier) and per-instruction-class energy accounting
-// against the paper's Table 3.
+// against the paper's Table 3. The cycle model is one table,
+// `static_costs` (superinst.h), and each instruction's semantics are
+// written once, in ops.inc, which both Cpu::exec and the fused
+// dispatcher (dispatch.cpp) compile.
 //
 // Execution engine: the Thumb image is decoded ONCE at Cpu construction
 // into a flat cache indexed by halfword (`codec.h::predecode`), and
@@ -522,16 +525,53 @@ class Cpu {
   void set_trace_sink(TraceSink* sink) { trace_ = sink; }
 
  private:
+  /// The NZCV flags as the instruction bodies (armvm/ops.inc) update
+  /// them: references to the members in exec(), to register-resident
+  /// locals in the fused dispatcher. Its add-with-carry, NZ and
+  /// condition helpers are the only ones either interpreter has.
+  struct FlagRefs {
+    bool& n;
+    bool& z;
+    bool& c;
+    bool& v;
+
+    [[gnu::always_inline]] void set_nz(std::uint32_t x) const {
+      n = (x >> 31) != 0;
+      z = x == 0;
+    }
+    /// ARMv6-M AddWithCarry, setting all four flags.
+    [[gnu::always_inline]] std::uint32_t adc(std::uint32_t a, std::uint32_t b,
+                                             bool carry_in) const {
+      const std::uint64_t wide =
+          static_cast<std::uint64_t>(a) + b + (carry_in ? 1 : 0);
+      const auto result = static_cast<std::uint32_t>(wide);
+      set_nz(result);
+      c = (wide >> 32) != 0;
+      v = (~(a ^ b) & (a ^ result) & 0x80000000u) != 0;
+      return result;
+    }
+    /// Whether a BCond on `cond` is taken.
+    [[gnu::always_inline]] bool holds(Cond cond) const {
+      switch (cond) {
+#define ECCM0_COND_CASE(name, taken) \
+  case Cond::k##name:                \
+    return taken;
+        ECCM0_FOR_EACH_COND(ECCM0_COND_CASE)
+#undef ECCM0_COND_CASE
+      }
+      return false;
+    }
+  };
+
   bool step_impl();
-  /// The interpreter core, stamped out twice: the untraced instantiation
-  /// is bit-for-bit the seed hot path (no event assembly, no extra
-  /// branches anywhere inside the flattened loop); the traced one
-  /// records cost pairs and memory accesses into the scratch event.
+  /// The per-instruction interpreter core: the instruction bodies of
+  /// armvm/ops.inc plus the branches, each charging its static_costs.
+  /// Stamped out twice: the untraced instantiation has no event
+  /// assembly and no extra branches anywhere inside the flattened loop;
+  /// the traced one records cost pairs and memory accesses into the
+  /// scratch event.
   template <bool kTraced>
   void exec(const Instr& ins, unsigned halfwords);
-  std::uint32_t add_with_carry(std::uint32_t a, std::uint32_t b, bool cin,
-                               bool set_flags);
-  void set_nz(std::uint32_t v);
   // Defined inline below so both interpreter translation units (cpu.cpp
   // and the threaded dispatcher in dispatch.cpp) flatten the memory
   // fast paths into their hot loops.
@@ -547,6 +587,16 @@ class Cpu {
       ev_.costs[ev_.num_costs].cls = cls;
       ev_.costs[ev_.num_costs].cycles = cycles;
       ++ev_.num_costs;
+    }
+  }
+  /// Account the static_costs of a retired `op`. exec passes each
+  /// case's constant Op, so the table folds to immediates.
+  template <bool kTraced>
+  [[gnu::always_inline]] void charge(Op op, const Instr& ins) {
+    InstrCost costs[2];
+    const unsigned n = static_costs(op, ins, costs);
+    for (unsigned k = 0; k < n; ++k) {
+      account<kTraced>(costs[k].cls, costs[k].cycles);
     }
   }
   void note_access(std::uint32_t addr, unsigned bytes, bool store) {

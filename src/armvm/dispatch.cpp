@@ -24,10 +24,9 @@
 //     (PC, flags, stats) is exactly what the per-step oracle leaves.
 //
 // Dispatch form: computed goto (&&label, the classic token-threading
-// idiom) on GNU/Clang; a switch over the same handler bodies otherwise
-// or when ECCM0_SWITCH_DISPATCH_ONLY is defined (CMake option
-// ECCM0_SWITCH_DISPATCH — the CI portability leg). Both forms include
-// exec_fused.inc, so there is exactly one copy of each handler's logic.
+// idiom; the tree builds only with GCC or Clang). The straight-line
+// handlers are the instruction bodies of ops.inc, the same ones
+// Cpu::exec compiles, so each instruction's semantics are written once.
 // GCC compiles this file with -fno-crossjumping (CMakeLists.txt): left
 // to itself it merges the handlers' identical `goto *token_targets[..]`
 // tails into a few shared indirect jumps, which costs the straight-line
@@ -41,18 +40,10 @@
 
 #include "armvm/superinst.h"
 
-#if !defined(ECCM0_SWITCH_DISPATCH_ONLY) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define ECCM0_USE_COMPUTED_GOTO 1
-#else
-#define ECCM0_USE_COMPUTED_GOTO 0
-#endif
-
 namespace eccm0::armvm {
 
 Cpu::DecodeMode decode_mode_from_name(std::string_view name) {
   if (name == "perstep") return Cpu::DecodeMode::kPerStep;
-  if (name == "predecode") return Cpu::DecodeMode::kPredecode;
   if (name == "threaded") return Cpu::DecodeMode::kThreaded;
   throw std::invalid_argument("unknown engine '" + std::string(name) +
                               "' (expected " + kEngineFlagValues + ")");
@@ -67,14 +58,11 @@ const char* decode_mode_name(Cpu::DecodeMode mode) {
   return "?";
 }
 
-bool threaded_dispatch_uses_computed_goto() {
-  return ECCM0_USE_COMPUTED_GOTO != 0;
-}
-
 // Every Op in isa.h declaration order — the token table of the
-// computed-goto dispatcher is built from this list, and the
-// static_asserts below pin it against the enum so a reordered or added
-// Op fails the build here instead of mis-dispatching.
+// computed-goto dispatcher is built from this list and isa.h's
+// ECCM0_FOR_EACH_COND, and the static_asserts below pin both against
+// their enums so a reordered or added Op or Cond fails the build here
+// instead of mis-dispatching.
 #define ECCM0_FOR_EACH_OP(X)                                                  \
   X(LslImm) X(LsrImm) X(AsrImm)                                               \
   X(LslReg) X(LsrReg) X(AsrReg) X(RorReg)                                     \
@@ -89,15 +77,6 @@ bool threaded_dispatch_uses_computed_goto() {
   X(AddRdSp) X(Adr) X(Push) X(Pop) X(Ldm) X(Stm)                              \
   X(BCond) X(B) X(Bl)                                                         \
   X(Sxth) X(Sxtb) X(Uxth) X(Uxtb) X(Rev) X(Rev16) X(Revsh) X(Nop) X(Bkpt)
-
-// Every Cond in isa.h declaration order, each with the predicate a
-// closing BCond on it tests against the local flag copies. Pinned
-// against the enum below like the Op list.
-#define ECCM0_FOR_EACH_COND(X)                                          \
-  X(Eq, lz) X(Ne, !lz) X(Cs, lc) X(Cc, !lc) X(Mi, ln) X(Pl, !ln)        \
-  X(Vs, lv) X(Vc, !lv) X(Hi, lc && !lz) X(Ls, !lc || lz)                \
-  X(Ge, ln == lv) X(Lt, ln != lv) X(Gt, !lz && ln == lv)                \
-  X(Le, lz || ln != lv)
 
 namespace {
 
@@ -184,22 +163,7 @@ std::uint64_t Cpu::run_fused_block(const SuperBlock& first,
   // Flags live in locals for the whole chain; written back on every
   // exit path (handlers never touch n_/z_/c_/v_ directly).
   bool ln = n_, lz = z_, lc = c_, lv = v_;
-  const auto set_nzl = [&](std::uint32_t v) {
-    ln = (v >> 31) != 0;
-    lz = v == 0;
-  };
-  const auto adcl = [&](std::uint32_t a, std::uint32_t b, bool cin,
-                        bool set_flags) {
-    const std::uint64_t wide =
-        static_cast<std::uint64_t>(a) + b + (cin ? 1 : 0);
-    const auto result = static_cast<std::uint32_t>(wide);
-    if (set_flags) {
-      set_nzl(result);
-      lc = (wide >> 32) != 0;
-      lv = (~(a ^ b) & (a ^ result) & 0x80000000u) != 0;
-    }
-    return result;
-  };
+  const FlagRefs fl{ln, lz, lc, lv};
   // The running block and the cursor into its code are the
   // dispatcher's only loop state: each handler bumps the cursor and
   // dispatches the next token, and the block's exit entry jumps to an
@@ -212,7 +176,6 @@ std::uint64_t Cpu::run_fused_block(const SuperBlock& first,
   std::uint64_t retired = 0;   // instructions of committed blocks
   std::uint64_t entered = 0;   // committed blocks
   try {
-#if ECCM0_USE_COMPUTED_GOTO
     // Token-threaded dispatch: the op byte of the next fused entry
     // indexes straight into the label table, so there is no central
     // dispatch branch for the host predictor to miss on. Past the real
@@ -229,46 +192,60 @@ std::uint64_t Cpu::run_fused_block(const SuperBlock& first,
     static_assert(std::size(token_targets) == kNumTokens);
 #define ECCM0_DISPATCH() \
   goto* token_targets[static_cast<std::uint8_t>(fp->ins.op)]
-#define ECCM0_FUSED_CASE(name) \
-  handler_##name : {           \
-    const FusedInstr& F = *fp;
-#define ECCM0_EXIT_CASE(name, token) \
-  handler_##name : {                 \
-    const FusedInstr& F = *fp;       \
-    (void)F;
-#else
-#define ECCM0_DISPATCH() goto next_token
-#define ECCM0_FUSED_CASE(name)                  \
-  case static_cast<std::uint8_t>(Op::k##name): { \
-    const FusedInstr& F = *fp;
-#define ECCM0_EXIT_CASE(name, token)        \
-  case static_cast<std::uint8_t>(token): { \
-    const FusedInstr& F = *fp;             \
-    (void)F;
-#endif
-#define ECCM0_FUSED_END \
-  }                     \
-  ++fp;                 \
-  ECCM0_DISPATCH();
-#define ECCM0_EXIT_END }
-
-#if ECCM0_USE_COMPUTED_GOTO
     ECCM0_DISPATCH();
-#include "armvm/exec_fused.inc"
+
+    // The straight-line handlers: the ops.inc bodies, each followed by
+    // the dispatch of the next token. fusable() keeps every form that
+    // writes PC out of a block.
+#define ECCM0_OP(name)                         \
+  handler_##name : {                           \
+    [[maybe_unused]] const Instr& I = fp->ins; \
+    [[maybe_unused]] const std::uint32_t PC4 = fp->pc4;
+#define ECCM0_OP_END \
+  }                  \
+  ++fp;              \
+  ECCM0_DISPATCH();
+#define ECCM0_WRITE_PC(target) __builtin_unreachable()
+#include "armvm/ops.inc"
+#undef ECCM0_OP
+#undef ECCM0_OP_END
+#undef ECCM0_WRITE_PC
+
+    // Block exits, the last entry of every block. Each sets PC, LR and
+    // the return-sentinel halt exactly as Cpu::exec does; the block's
+    // batched cycles already hold each branch's static cost (a BCond's
+    // not-taken one).
+  handler_End:  // no closing branch
+    goto falls_through;
+  handler_B:
+    goto branch_taken;
+  handler_Bl:
+    r[kLR] = fp->pc4 | 1u;  // return address (past both halfwords)
+    goto branch_taken;
+  handler_Bx: {  // rm = PC never closes a block
+    const std::uint32_t target = r[fp->ins.rm];
+    if (target == kReturnSentinel) {
+      halted_ = true;
+      r[kPC] = kReturnSentinel;
+      next = -1;
+      goto commit;
+    }
+    r[kPC] = target & ~1u;
+    next = r[kPC] / 2 < code_halfwords ? block_at[r[kPC] / 2] : -1;
+    goto commit;
+  }
+#define ECCM0_BCOND_EXIT(name, taken)              \
+  handler_BCond##name:                             \
+    if (fl.holds(Cond::k##name)) goto bcond_taken; \
+    goto falls_through;
+    ECCM0_FOR_EACH_COND(ECCM0_BCOND_EXIT)
+#undef ECCM0_BCOND_EXIT
   // A closing BCond always carries its condition's token, and BLX/BKPT
   // never enter a block; their table entries land here.
   handler_BCond:
   handler_Blx:
   handler_Bkpt:
     bad_fused_token();
-#else
-  next_token:
-    switch (static_cast<std::uint8_t>(fp->ins.op)) {
-#include "armvm/exec_fused.inc"
-      default:
-        bad_fused_token();
-    }
-#endif
   // Exit sites shared by every block exit.
   falls_through:
     r[kPC] = blk->end_pc;
@@ -293,15 +270,11 @@ std::uint64_t Cpu::run_fused_block(const SuperBlock& first,
       ECCM0_DISPATCH();
     }
 #undef ECCM0_DISPATCH
-#undef ECCM0_FUSED_CASE
-#undef ECCM0_FUSED_END
-#undef ECCM0_EXIT_CASE
-#undef ECCM0_EXIT_END
   } catch (...) {
     // Fault at entry j of the running block: replay the static costs of
     // the instructions that retired before it (the faulting one
-    // contributes nothing — exec() accounts after its memory accesses;
-    // an exit entry never faults), sync the flags, and leave the PC at
+    // contributes nothing — exec() charges after the body; an exit
+    // entry never faults), sync the flags, and leave the PC at
     // the faulting instruction's fallthrough, exactly as the per-step
     // loop does before exec().
     const FusedInstr* const code = blk->code.data();

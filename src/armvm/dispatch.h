@@ -1,15 +1,17 @@
 // Engine-selection helpers for the execution-engine hierarchy
 // (perstep / predecode / threaded), shared by every harness that takes
-// an `--engine=` flag, plus a build-configuration probe for the
-// threaded dispatcher.
+// an `--engine=` flag. The flag names the two engines a user picks
+// between: `perstep`, the reference, and `threaded`, the default.
+// DecodeMode::kPredecode stays a library mode: the threaded engine's
+// traced and protected-memory loop, which benches and tests name
+// directly.
 //
 // The threaded engine itself lives in dispatch.cpp: Cpu::run_threaded
 // (the chunk runner with block-head lookup and per-instruction
-// fallback) and Cpu::run_fused_block (the token-threaded superblock
+// fallback) and Cpu::run_fused_block (the computed-goto superblock
 // dispatcher that chains from block to block across their closing
-// branches, instantiated from exec_fused.inc as computed-goto labels on
-// GNU/Clang and as a switch on everything else — or everywhere when the
-// ECCM0_SWITCH_DISPATCH CMake option forces the portable form).
+// branches; its straight-line handlers are the instruction bodies of
+// ops.inc, the same ones Cpu::exec compiles).
 #pragma once
 
 #include <string_view>
@@ -19,18 +21,14 @@
 namespace eccm0::armvm {
 
 /// Engine spelling used by every `--engine=` flag.
-inline constexpr const char* kEngineFlagValues = "perstep|predecode|threaded";
+inline constexpr const char* kEngineFlagValues = "perstep|threaded";
 
 /// Map an `--engine=` value to a DecodeMode. Throws
-/// std::invalid_argument on anything but perstep|predecode|threaded.
+/// std::invalid_argument on anything but perstep|threaded.
 Cpu::DecodeMode decode_mode_from_name(std::string_view name);
 
-/// Inverse of decode_mode_from_name (for reports and JSON rows).
+/// Name of a DecodeMode for reports and JSON rows ("perstep",
+/// "predecode" or "threaded").
 const char* decode_mode_name(Cpu::DecodeMode mode);
-
-/// True when this build dispatches fused blocks with computed goto;
-/// false in the portable switch fallback (non-GNU compilers or
-/// -DECCM0_SWITCH_DISPATCH=ON).
-bool threaded_dispatch_uses_computed_goto();
 
 }  // namespace eccm0::armvm

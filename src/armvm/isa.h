@@ -63,6 +63,16 @@ enum class Cond : std::uint8_t {
 inline constexpr std::size_t kNumConds =
     static_cast<std::size_t>(Cond::kLe) + 1;
 
+/// Every Cond in declaration order, each with the predicate it tests
+/// over flags named n, z, c, v: the one condition table of both
+/// interpreters (FlagRefs::holds in cpu.h, and the fused dispatcher's
+/// per-condition BCond exits, whose token order dispatch.cpp pins
+/// against the enum).
+#define ECCM0_FOR_EACH_COND(X)                                    \
+  X(Eq, z) X(Ne, !z) X(Cs, c) X(Cc, !c) X(Mi, n) X(Pl, !n)        \
+  X(Vs, v) X(Vc, !v) X(Hi, c && !z) X(Ls, !c || z)                \
+  X(Ge, n == v) X(Lt, n != v) X(Gt, !z && n == v) X(Le, z || n != v)
+
 /// A decoded instruction. Fields are used according to `op`:
 ///   rd/rn/rm — registers; imm — immediate (pre-scaled to bytes where the
 ///   encoding scales); reg_list — LDM/STM/PUSH/POP bitmask (bit 8 = LR for

@@ -1,7 +1,5 @@
 #include "armvm/superinst.h"
 
-#include <stdexcept>
-
 namespace eccm0::armvm {
 
 using costmodel::InstrClass;
@@ -44,128 +42,6 @@ bool closes_block(const Instr& ins) {
       return ins.rm != kPC;
     default:
       return false;
-  }
-}
-
-namespace {
-
-unsigned popcount9(std::uint16_t reg_list) {
-  unsigned n = 0;
-  for (unsigned b = 0; b < 9; ++b) n += (reg_list >> b) & 1;
-  return n;
-}
-
-unsigned popcount8(std::uint16_t reg_list) {
-  unsigned n = 0;
-  for (unsigned b = 0; b < 8; ++b) n += (reg_list >> b) & 1;
-  return n;
-}
-
-}  // namespace
-
-unsigned static_costs(const Instr& ins, InstrCost out[2]) {
-  const auto one = [&](InstrClass cls, unsigned cycles) {
-    out[0] = {cls, static_cast<std::uint8_t>(cycles)};
-    return 1u;
-  };
-  const auto two = [&](InstrClass a, unsigned ca, InstrClass b, unsigned cb) {
-    out[0] = {a, static_cast<std::uint8_t>(ca)};
-    out[1] = {b, static_cast<std::uint8_t>(cb)};
-    return 2u;
-  };
-  switch (ins.op) {
-    case Op::kLslImm:
-      return one(ins.imm == 0 ? InstrClass::kMov : InstrClass::kLsl, 1);
-    case Op::kLsrImm:
-    case Op::kAsrImm:
-      return one(InstrClass::kLsr, 1);
-    case Op::kLslReg:
-      return one(InstrClass::kLsl, 1);
-    case Op::kLsrReg:
-    case Op::kAsrReg:
-    case Op::kRorReg:
-      return one(InstrClass::kLsr, 1);
-    case Op::kAddReg:
-    case Op::kSubReg:
-    case Op::kAddImm3:
-    case Op::kSubImm3:
-    case Op::kCmpImm:
-    case Op::kAddImm8:
-    case Op::kSubImm8:
-    case Op::kAdc:
-    case Op::kSbc:
-    case Op::kRsb:
-    case Op::kCmpReg:
-    case Op::kCmn:
-    case Op::kAddHi:
-    case Op::kCmpHi:
-    case Op::kAddSpImm7:
-    case Op::kSubSpImm7:
-    case Op::kAddRdSp:
-    case Op::kAdr:
-      return one(InstrClass::kAdd, 1);
-    case Op::kAnd:
-    case Op::kEor:
-    case Op::kTst:
-    case Op::kOrr:
-    case Op::kBic:
-    case Op::kMvn:
-      return one(InstrClass::kEor, 1);
-    case Op::kMul:
-      return one(InstrClass::kMul, 1);
-    case Op::kMovImm:
-    case Op::kMovHi:
-    case Op::kSxth:
-    case Op::kSxtb:
-    case Op::kUxth:
-    case Op::kUxtb:
-    case Op::kRev:
-    case Op::kRev16:
-    case Op::kRevsh:
-      return one(InstrClass::kMov, 1);
-    case Op::kLdrLit:
-    case Op::kLdrImm:
-    case Op::kLdrbImm:
-    case Op::kLdrhImm:
-    case Op::kLdrReg:
-    case Op::kLdrbReg:
-    case Op::kLdrhReg:
-    case Op::kLdrsbReg:
-    case Op::kLdrshReg:
-    case Op::kLdrSp:
-      return one(InstrClass::kLdr, 2);
-    case Op::kStrImm:
-    case Op::kStrbImm:
-    case Op::kStrhImm:
-    case Op::kStrReg:
-    case Op::kStrbReg:
-    case Op::kStrhReg:
-    case Op::kStrSp:
-      return one(InstrClass::kStr, 2);
-    case Op::kPush:
-      return two(InstrClass::kStr, popcount9(ins.reg_list),
-                 InstrClass::kOther, 1);
-    case Op::kPop:  // PC never in the list (not fusable otherwise)
-      return two(InstrClass::kLdr, popcount9(ins.reg_list),
-                 InstrClass::kOther, 1);
-    case Op::kStm:
-      return two(InstrClass::kStr, popcount8(ins.reg_list),
-                 InstrClass::kOther, 1);
-    case Op::kLdm:
-      return two(InstrClass::kLdr, popcount8(ins.reg_list),
-                 InstrClass::kOther, 1);
-    case Op::kNop:
-      return one(InstrClass::kOther, 1);
-    // Closing branches; a taken BCond pays one more cycle at run time.
-    case Op::kBCond:
-      return one(InstrClass::kBranch, 1);
-    case Op::kB:
-    case Op::kBx:
-      return one(InstrClass::kBranch, 2);
-    case Op::kBl:
-      return one(InstrClass::kBranch, 3);
-    default:
-      throw std::logic_error("static_costs: non-fusable op");
   }
 }
 
@@ -262,7 +138,8 @@ ThreadedImage build_threaded_image(
       FusedInstr f;
       f.ins = cache[k].ins;
       f.pc4 = static_cast<std::uint32_t>(2 * k + 4);
-      f.num_costs = static_cast<std::uint8_t>(static_costs(f.ins, f.costs));
+      f.num_costs =
+          static_cast<std::uint8_t>(static_costs(f.ins.op, f.ins, f.costs));
       for (unsigned c = 0; c < f.num_costs; ++c) {
         by_class[static_cast<int>(f.costs[c].cls)] += f.costs[c].cycles;
         b.cycles += f.costs[c].cycles;

@@ -141,11 +141,152 @@ bool fusable(const Instr& ins, unsigned halfwords);
 /// checked by the discovery pass.
 bool closes_block(const Instr& ins);
 
-/// Static cost pairs of a fusable or closing instruction, exactly
-/// mirroring the account() calls Cpu::exec makes for it (BCond at its
-/// not-taken cost). Returns the pair count (1 or 2). Precondition:
-/// fusable(ins, 1) or closes_block(ins).
-unsigned static_costs(const Instr& ins, InstrCost out[2]);
+/// The M0+ cost model — the one table both interpreters charge: the
+/// (class, cycles) pairs an instruction of Op `op` with operands `ins`
+/// retires with. Loads and stores take 2 cycles, ALU ops 1,
+/// LDM/STM/PUSH/POP 1+N as a transfer pair plus an overhead pair
+/// (POP {..., pc} 3 overhead cycles), B/BX/BLX and hi-register writes
+/// to PC 2, BL 3, and BCond its not-taken 1: a taken BCond's second
+/// cycle is the one cost decided at run time. Writes 1 or 2 pairs to
+/// `out` and returns the count. `op` is separate from `ins` so that
+/// Cpu::exec, which passes each case's constant Op, gets the table
+/// folded to immediates; the fusion pass batches it per block.
+[[gnu::always_inline]] constexpr unsigned static_costs(Op op,
+                                                       const Instr& ins,
+                                                       InstrCost out[2]) {
+  using costmodel::InstrClass;
+  InstrClass cls = InstrClass::kOther;
+  unsigned cycles = 1;
+  unsigned list_bits = 0;  // LDM/STM/PUSH/POP: register-list width
+  switch (op) {
+    case Op::kLslImm:  // LSLS #0 is the MOVS encoding
+      cls = ins.imm == 0 ? InstrClass::kMov : InstrClass::kLsl;
+      break;
+    case Op::kLslReg:
+      cls = InstrClass::kLsl;
+      break;
+    case Op::kLsrImm:
+    case Op::kAsrImm:
+    case Op::kLsrReg:
+    case Op::kAsrReg:
+    case Op::kRorReg:
+      cls = InstrClass::kLsr;
+      break;
+    case Op::kAddReg:
+    case Op::kSubReg:
+    case Op::kAddImm3:
+    case Op::kSubImm3:
+    case Op::kCmpImm:
+    case Op::kAddImm8:
+    case Op::kSubImm8:
+    case Op::kAdc:
+    case Op::kSbc:
+    case Op::kRsb:
+    case Op::kCmpReg:
+    case Op::kCmn:
+    case Op::kCmpHi:
+    case Op::kAddSpImm7:
+    case Op::kSubSpImm7:
+    case Op::kAddRdSp:
+    case Op::kAdr:
+      cls = InstrClass::kAdd;
+      break;
+    case Op::kAnd:
+    case Op::kEor:
+    case Op::kTst:
+    case Op::kOrr:
+    case Op::kBic:
+    case Op::kMvn:
+      cls = InstrClass::kEor;
+      break;
+    case Op::kMul:  // single-cycle multiplier option
+      cls = InstrClass::kMul;
+      break;
+    case Op::kMovImm:
+    case Op::kSxth:
+    case Op::kSxtb:
+    case Op::kUxth:
+    case Op::kUxtb:
+    case Op::kRev:
+    case Op::kRev16:
+    case Op::kRevsh:
+      cls = InstrClass::kMov;
+      break;
+    case Op::kAddHi:  // a write to PC is a branch
+      cls = ins.rd == kPC ? InstrClass::kBranch : InstrClass::kAdd;
+      cycles = ins.rd == kPC ? 2 : 1;
+      break;
+    case Op::kMovHi:
+      cls = ins.rd == kPC ? InstrClass::kBranch : InstrClass::kMov;
+      cycles = ins.rd == kPC ? 2 : 1;
+      break;
+    case Op::kLdrLit:
+    case Op::kLdrImm:
+    case Op::kLdrbImm:
+    case Op::kLdrhImm:
+    case Op::kLdrReg:
+    case Op::kLdrbReg:
+    case Op::kLdrhReg:
+    case Op::kLdrsbReg:
+    case Op::kLdrshReg:
+    case Op::kLdrSp:
+      cls = InstrClass::kLdr;
+      cycles = 2;
+      break;
+    case Op::kStrImm:
+    case Op::kStrbImm:
+    case Op::kStrhImm:
+    case Op::kStrReg:
+    case Op::kStrbReg:
+    case Op::kStrhReg:
+    case Op::kStrSp:
+      cls = InstrClass::kStr;
+      cycles = 2;
+      break;
+    case Op::kPush:  // bit 8 = LR
+      cls = InstrClass::kStr;
+      list_bits = 9;
+      break;
+    case Op::kPop:  // bit 8 = PC
+      cls = InstrClass::kLdr;
+      list_bits = 9;
+      break;
+    case Op::kStm:
+      cls = InstrClass::kStr;
+      list_bits = 8;
+      break;
+    case Op::kLdm:
+      cls = InstrClass::kLdr;
+      list_bits = 8;
+      break;
+    case Op::kBCond:
+      cls = InstrClass::kBranch;
+      break;
+    case Op::kB:
+    case Op::kBx:
+    case Op::kBlx:
+      cls = InstrClass::kBranch;
+      cycles = 2;
+      break;
+    case Op::kBl:
+      cls = InstrClass::kBranch;
+      cycles = 3;
+      break;
+    case Op::kNop:
+    case Op::kBkpt:
+      break;
+  }
+  if (list_bits == 0) {
+    out[0] = {cls, static_cast<std::uint8_t>(cycles)};
+    return 1;
+  }
+  unsigned n = 0;
+  for (unsigned b = 0; b < list_bits; ++b) n += (ins.reg_list >> b) & 1;
+  const bool returns = op == Op::kPop && (ins.reg_list & 0x100) != 0;
+  out[0] = {cls, static_cast<std::uint8_t>(n)};
+  out[1] = {InstrClass::kOther, static_cast<std::uint8_t>(returns ? 3 : 1)};
+  return 2;
+}
 
 /// Run the discovery pass over a predecoded image. `symbols` contributes
 /// extra split points: every label is a potential branch target (loop

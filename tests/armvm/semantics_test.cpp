@@ -1,11 +1,14 @@
 // Property-style differential tests of the interpreter's arithmetic and
 // flag semantics: for randomly generated operand pairs, the VM's results
 // and NZCV flags must match a host-side reference implementation of the
-// ARMv6-M pseudocode.
+// ARMv6-M pseudocode. Every case runs on each engine: per-step and
+// predecode retire each instruction through Cpu::exec, threaded inside
+// a fused block, so both compilations of armvm/ops.inc are checked.
 #include <gtest/gtest.h>
 
 #include "armvm/asm.h"
 #include "armvm/cpu.h"
+#include "armvm/dispatch.h"
 #include "common/rng.h"
 
 namespace eccm0::armvm {
@@ -34,10 +37,10 @@ RefResult ref_add_with_carry(std::uint32_t a, std::uint32_t b, bool cin) {
 
 class Harness {
  public:
-  explicit Harness(const std::string& body)
+  Harness(const std::string& body, Cpu::DecodeMode mode)
       : prog_(assemble("fn:\n" + body + "    bx lr\n")),
         mem_(1 << 12),
-        cpu_(prog_, mem_) {}
+        cpu_(prog_, mem_, mode) {}
 
   RefResult run(std::uint32_t r0, std::uint32_t r1, bool carry_in = false) {
     cpu_.set_reg(0, r0);
@@ -59,8 +62,18 @@ class Harness {
   Cpu cpu_;
 };
 
-TEST(Semantics, AddsMatchesReference) {
-  Harness h("    adds r0, r0, r1\n");
+class Semantics : public ::testing::TestWithParam<Cpu::DecodeMode> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, Semantics,
+    ::testing::Values(Cpu::DecodeMode::kPerStep, Cpu::DecodeMode::kPredecode,
+                      Cpu::DecodeMode::kThreaded),
+    [](const ::testing::TestParamInfo<Cpu::DecodeMode>& info) {
+      return std::string(decode_mode_name(info.param));
+    });
+
+TEST_P(Semantics, AddsMatchesReference) {
+  Harness h("    adds r0, r0, r1\n", GetParam());
   Rng rng(1);
   for (int i = 0; i < 300; ++i) {
     const auto a = static_cast<std::uint32_t>(rng.next_u64());
@@ -72,8 +85,8 @@ TEST(Semantics, AddsMatchesReference) {
   }
 }
 
-TEST(Semantics, SubsMatchesReference) {
-  Harness h("    subs r0, r0, r1\n");
+TEST_P(Semantics, SubsMatchesReference) {
+  Harness h("    subs r0, r0, r1\n", GetParam());
   Rng rng(2);
   for (int i = 0; i < 300; ++i) {
     const auto a = static_cast<std::uint32_t>(rng.next_u64());
@@ -85,18 +98,19 @@ TEST(Semantics, SubsMatchesReference) {
   }
 }
 
-TEST(Semantics, AdcsChainMatches64BitAddition) {
+TEST_P(Semantics, AdcsChainMatches64BitAddition) {
   // (r0:r1) treated as 64-bit halves added to themselves via adds/adcs.
-  Harness h("    adds r0, r0, r0\n    adcs r1, r1\n");
+  Harness h("    adds r0, r0, r0\n    adcs r1, r1\n", GetParam());
   Rng rng(3);
   for (int i = 0; i < 200; ++i) {
     const std::uint64_t x = rng.next_u64();
     const auto lo = static_cast<std::uint32_t>(x);
     const auto hi = static_cast<std::uint32_t>(x >> 32);
-    Harness h2("    adds r0, r0, r0\n    adcs r1, r1\n");
+    Harness h2("    adds r0, r0, r0\n    adcs r1, r1\n", GetParam());
     h2.run(lo, hi);
     // reconstruct from registers via a second harness run returning r1.
-    Harness h3("    adds r0, r0, r0\n    adcs r1, r1\n    movs r0, r1\n");
+    Harness h3("    adds r0, r0, r0\n    adcs r1, r1\n    movs r0, r1\n",
+               GetParam());
     const auto hi_got = h3.run(lo, hi).value;
     const auto lo_got = h2.run(lo, hi).value;
     const std::uint64_t got =
@@ -105,12 +119,12 @@ TEST(Semantics, AdcsChainMatches64BitAddition) {
   }
 }
 
-TEST(Semantics, ShiftImmediatesMatchReference) {
+TEST_P(Semantics, ShiftImmediatesMatchReference) {
   Rng rng(4);
   for (unsigned sh : {1u, 7u, 16u, 31u}) {
-    Harness lsl("    lsls r0, r0, #" + std::to_string(sh) + "\n");
-    Harness lsr("    lsrs r0, r0, #" + std::to_string(sh) + "\n");
-    Harness asr("    asrs r0, r0, #" + std::to_string(sh) + "\n");
+    Harness lsl("    lsls r0, r0, #" + std::to_string(sh) + "\n", GetParam());
+    Harness lsr("    lsrs r0, r0, #" + std::to_string(sh) + "\n", GetParam());
+    Harness asr("    asrs r0, r0, #" + std::to_string(sh) + "\n", GetParam());
     for (int i = 0; i < 50; ++i) {
       const auto v = static_cast<std::uint32_t>(rng.next_u64());
       auto got = lsl.run(v, 0);
@@ -126,10 +140,10 @@ TEST(Semantics, ShiftImmediatesMatchReference) {
   }
 }
 
-TEST(Semantics, RegisterShiftBoundaryAmounts) {
+TEST_P(Semantics, RegisterShiftBoundaryAmounts) {
   // Amounts 0, 31, 32, 33, 255 follow the ARMv6-M pseudocode.
-  Harness lsl("    lsls r0, r1\n");
-  Harness lsr("    lsrs r0, r1\n");
+  Harness lsl("    lsls r0, r1\n", GetParam());
+  Harness lsr("    lsrs r0, r1\n", GetParam());
   const std::uint32_t v = 0x80000001u;
   EXPECT_EQ(lsl.run(v, 0).value, v);        // no shift, flags NZ only
   EXPECT_EQ(lsl.run(v, 31).value, 0x80000000u);
@@ -145,8 +159,8 @@ TEST(Semantics, RegisterShiftBoundaryAmounts) {
   EXPECT_EQ(lsr.run(v, 255).value, 0u);
 }
 
-TEST(Semantics, MulsTruncatesTo32Bits) {
-  Harness h("    muls r0, r1\n");
+TEST_P(Semantics, MulsTruncatesTo32Bits) {
+  Harness h("    muls r0, r1\n", GetParam());
   Rng rng(5);
   for (int i = 0; i < 200; ++i) {
     const auto a = static_cast<std::uint32_t>(rng.next_u64());
@@ -158,12 +172,12 @@ TEST(Semantics, MulsTruncatesTo32Bits) {
   }
 }
 
-TEST(Semantics, LogicalOpsMatchReference) {
-  Harness andh("    ands r0, r1\n");
-  Harness orrh("    orrs r0, r1\n");
-  Harness eorh("    eors r0, r1\n");
-  Harness bich("    bics r0, r1\n");
-  Harness mvnh("    mvns r0, r1\n");
+TEST_P(Semantics, LogicalOpsMatchReference) {
+  Harness andh("    ands r0, r1\n", GetParam());
+  Harness orrh("    orrs r0, r1\n", GetParam());
+  Harness eorh("    eors r0, r1\n", GetParam());
+  Harness bich("    bics r0, r1\n", GetParam());
+  Harness mvnh("    mvns r0, r1\n", GetParam());
   Rng rng(6);
   for (int i = 0; i < 100; ++i) {
     const auto a = static_cast<std::uint32_t>(rng.next_u64());
@@ -176,7 +190,7 @@ TEST(Semantics, LogicalOpsMatchReference) {
   }
 }
 
-TEST(Semantics, CmpConditionMatrix) {
+TEST_P(Semantics, CmpConditionMatrix) {
   // For random pairs, each condition code must agree with the host's
   // signed/unsigned comparisons.
   // MOVS/ADDS clobber the flags, so each predicate re-compares.
@@ -197,7 +211,7 @@ n3: cmp r3, r1
     adds r0, #8
 n4: nop
 )";
-  Harness h(body);
+  Harness h(body, GetParam());
   Rng rng(7);
   for (int i = 0; i < 200; ++i) {
     const auto a = static_cast<std::uint32_t>(rng.next_u64());
@@ -215,14 +229,14 @@ n4: nop
   }
 }
 
-TEST(Semantics, ExtendAndReverseOps) {
-  Harness sxtb("    sxtb r0, r1\n");
-  Harness sxth("    sxth r0, r1\n");
-  Harness uxtb("    uxtb r0, r1\n");
-  Harness uxth("    uxth r0, r1\n");
-  Harness rev("    rev r0, r1\n");
-  Harness rev16("    rev16 r0, r1\n");
-  Harness revsh("    revsh r0, r1\n");
+TEST_P(Semantics, ExtendAndReverseOps) {
+  Harness sxtb("    sxtb r0, r1\n", GetParam());
+  Harness sxth("    sxth r0, r1\n", GetParam());
+  Harness uxtb("    uxtb r0, r1\n", GetParam());
+  Harness uxth("    uxth r0, r1\n", GetParam());
+  Harness rev("    rev r0, r1\n", GetParam());
+  Harness rev16("    rev16 r0, r1\n", GetParam());
+  Harness revsh("    revsh r0, r1\n", GetParam());
   Rng rng(11);
   for (int i = 0; i < 100; ++i) {
     const auto v = static_cast<std::uint32_t>(rng.next_u64());
