@@ -126,8 +126,9 @@ LDPoint mul_wtnaf_ld(CurveOps& ops, const WtnafTable& table, const UInt& k,
 }
 
 LDPoint mul_wtnaf_ld(CurveOps& ops, const WtnafTable& table,
-                     std::span<const int> digits, bool* collapsed) {
-  LDPoint q = LDPoint::infinity();
+                     std::span<const int> digits, bool* collapsed,
+                     const LDPoint& start) {
+  LDPoint q = start;
   for (std::size_t i = digits.size(); i-- > 0;) {
     ops.frob_inplace(q);
     const int u = digits[i];

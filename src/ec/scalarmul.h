@@ -52,9 +52,14 @@ AffinePoint mul_wtnaf(CurveOps& ops, const WtnafTable& table,
 LDPoint mul_wtnaf_ld(CurveOps& ops, const WtnafTable& table,
                      const mpint::UInt& k, bool* collapsed = nullptr);
 /// The same loop from k's digits, wtnaf_digits(partmod(k, curve), mu,
-/// table.w), for callers that multiply by one k many times.
+/// table.w), for callers that multiply by one k many times. The loop
+/// starts from `start` (the identity for a whole kP). Steps run from the
+/// last digit down, so a caller that reached accumulator q after the
+/// digits above position i resumes with digits.first(i + 1) and q, and
+/// gets what the whole loop would have returned.
 LDPoint mul_wtnaf_ld(CurveOps& ops, const WtnafTable& table,
-                     std::span<const int> digits, bool* collapsed = nullptr);
+                     std::span<const int> digits, bool* collapsed = nullptr,
+                     const LDPoint& start = LDPoint::infinity());
 
 /// Convenience: table build + multiply (the paper's random-point kP path).
 AffinePoint mul_wtnaf(CurveOps& ops, const AffinePoint& p,

@@ -158,21 +158,32 @@ AffinePointP mul_wnaf_p(PrimeCurveOps& ops, const AffinePointP& p,
 AffinePointP mul_wnaf_p(PrimeCurveOps& ops, const AffinePointP& p,
                         std::span<const int> digits, unsigned w,
                         bool* collapsed) {
-  // Odd multiples 1P, 3P, ... and their negatives, so the loop below
-  // only adds (neg is uncounted, as in the per-digit form).
-  std::vector<AffinePointP> odd{p};
+  const WnafTableP table = make_wnaf_table_p(ops, p, w);
+  return ops.to_affine(mul_wnaf_jac(ops, table, digits, collapsed));
+}
+
+WnafTableP make_wnaf_table_p(PrimeCurveOps& ops, const AffinePointP& p,
+                             unsigned w) {
+  WnafTableP t;
+  t.odd.push_back(p);
   const AffinePointP p2 = ops.dbl(p);
   for (unsigned i = 1; i < (1u << (w - 2)); ++i) {
-    odd.push_back(ops.add(odd.back(), p2));
+    t.odd.push_back(ops.add(t.odd.back(), p2));
   }
-  std::vector<AffinePointP> neg_odd;
-  for (const AffinePointP& o : odd) neg_odd.push_back(ops.neg(o));
-  JacobianPoint q = JacobianPoint::infinity();
+  for (const AffinePointP& o : t.odd) t.neg_odd.push_back(ops.neg(o));
+  return t;
+}
+
+JacobianPoint mul_wnaf_jac(PrimeCurveOps& ops, const WnafTableP& table,
+                           std::span<const int> digits, bool* collapsed,
+                           const JacobianPoint& start) {
+  JacobianPoint q = start;
   // The identity-collapse invariant of the binary wTNAF (scalarmul.cpp):
   // every partial sum is a nonzero multiple of P below its order, so an
   // accumulator that has left infinity never meets it again until a
   // final step (n*P legitimately ends there). Checked as each step
   // starts; a collapse that is never rebuilt ends at infinity itself.
+  // A resumed loop re-derives `left_inf` at its first check.
   bool left_inf = false;
   const auto watch = [&] {
     if (!q.is_inf()) {
@@ -188,10 +199,10 @@ AffinePointP mul_wnaf_p(PrimeCurveOps& ops, const AffinePointP& p,
     if (u != 0) {
       const std::size_t j = static_cast<std::size_t>(std::abs(u)) / 2;
       watch();
-      ops.jac_add_mixed(q, u > 0 ? odd[j] : neg_odd[j]);
+      ops.jac_add_mixed(q, u > 0 ? table.odd[j] : table.neg_odd[j]);
     }
   }
-  return ops.to_affine(q);
+  return q;
 }
 
 }  // namespace eccm0::ecp

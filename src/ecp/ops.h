@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <vector>
 
 #include "ecp/curve.h"
 
@@ -145,10 +146,11 @@ class PrimeCurveOps {
 };
 
 /// Width-w NAF scalar multiplication (the doubling-based path a prime
-/// curve requires; no Frobenius shortcut exists). `collapsed`, when
-/// non-null, is set if the Jacobian accumulator meets infinity again
-/// after having left it, before the last step: a mid-loop identity
-/// collapse, which an honest run with 0 < k < ord(P) never makes.
+/// curve requires; no Frobenius shortcut exists): make_wnaf_table_p, the
+/// mul_wnaf_jac loop, then to_affine. `collapsed`, when non-null, is set
+/// if the Jacobian accumulator meets infinity again after having left
+/// it, before the last step: a mid-loop identity collapse, which an
+/// honest run with 0 < k < ord(P) never makes.
 AffinePointP mul_wnaf_p(PrimeCurveOps& ops, const AffinePointP& p,
                         const mpint::UInt& k, unsigned w,
                         bool* collapsed = nullptr);
@@ -157,6 +159,32 @@ AffinePointP mul_wnaf_p(PrimeCurveOps& ops, const AffinePointP& p,
 AffinePointP mul_wnaf_p(PrimeCurveOps& ops, const AffinePointP& p,
                         std::span<const int> digits, unsigned w,
                         bool* collapsed = nullptr);
+
+/// Precomputed width-w NAF table: odd[i] = (2i + 1)P and its negative,
+/// so the Horner loop only adds (neg is uncounted).
+struct WnafTableP {
+  std::vector<AffinePointP> odd;
+  std::vector<AffinePointP> neg_odd;
+};
+
+/// Build the table for width w (2^(w-2) points): one affine doubling and
+/// 2^(w-2) - 1 affine additions, an inversion each.
+WnafTableP make_wnaf_table_p(PrimeCurveOps& ops, const AffinePointP& p,
+                             unsigned w);
+
+/// The Horner loop of mul_wnaf_p over an existing table, returning the
+/// Jacobian accumulator before the affine conversion. The loop starts
+/// from `start` (the identity for a whole kP). Steps run from the last
+/// digit down, so a caller that reached accumulator q after the digits
+/// above position i resumes with digits.first(i + 1) and q, and gets
+/// what the whole loop would have returned. `collapsed` as in
+/// mul_wnaf_p.
+JacobianPoint mul_wnaf_jac(PrimeCurveOps& ops, const WnafTableP& table,
+                           std::span<const int> digits,
+                           bool* collapsed = nullptr,
+                           const JacobianPoint& start =
+                               JacobianPoint::infinity());
+
 /// Reference oracle: affine double-and-add.
 AffinePointP mul_naive_p(PrimeCurveOps& ops, const AffinePointP& p,
                          const mpint::UInt& k);

@@ -89,7 +89,7 @@ struct RunObservation {
 
 void record_vm_cycles(telemetry::MetricsRegistry& metrics,
                       const std::string& name,
-                      const std::vector<RunObservation>& observations) {
+                      std::span<const RunObservation> observations) {
   telemetry::Histogram cycles;
   for (const RunObservation& obs : observations) cycles.record(obs.vm_cycles);
   metrics.merge_histogram(name, telemetry::Unit::kCycles, cycles);
@@ -145,6 +145,31 @@ std::span<const std::uint32_t> fe_words(const gf2::Elem& e) {
   return {e.data(), gf2::k233::kWords};
 }
 
+/// Prime-side counts as the FieldOpCounts both families are priced in.
+ec::FieldOpCounts field_counts(const ecp::PrimeOpCounts& c) {
+  return {c.mul, c.sqr, c.inv, c.add};
+}
+
+/// A Horner step of the golden kP that multiplies: where a resumed run
+/// starts.
+template <typename Acc>
+struct Checkpoint {
+  std::size_t pos = 0;    ///< the digit position the step processes
+  std::uint64_t mul = 0;  ///< golden fmul index at the step's start
+  Acc acc;                ///< the accumulator at the step's start
+};
+
+/// The last checkpoint at or before golden multiplication `target`, or
+/// nullptr when `target` lies in the table build.
+template <typename Acc>
+const Checkpoint<Acc>* resume_point(const std::vector<Checkpoint<Acc>>& cps,
+                                    std::uint64_t target) {
+  const auto after = std::upper_bound(
+      cps.begin(), cps.end(), target,
+      [](std::uint64_t t, const Checkpoint<Acc>& c) { return t < c.mul; });
+  return after == cps.begin() ? nullptr : &*std::prev(after);
+}
+
 }  // namespace
 
 /// The spliced-kP experiment, on either field family. One seed fixes
@@ -152,7 +177,9 @@ std::span<const std::uint32_t> fe_words(const gf2::Elem& e) {
 /// curve's production scalar multiplication (wTNAF on sect233k1,
 /// Jacobian wNAF on the secp curves) natively, except that one field
 /// multiplication runs on the VM kernel (fixed-register LD or
-/// Montgomery) and whatever comes out of it is spliced back.
+/// Montgomery) and whatever comes out of it is spliced back. Up to that
+/// multiplication a run is the golden kP, so a run faulting a Horner
+/// step resumes from the golden accumulator at that step.
 class GoldenKp {
  public:
   /// The caller's kernel run: executes kernel() on RAM that already
@@ -174,12 +201,16 @@ class GoldenKp {
 
   /// Compute kP with field multiplication `target` done by `run_kernel`
   /// on fresh RAM under `model`. Pure in its arguments over immutable
-  /// state, so any thread can observe any run.
+  /// state, so any thread can observe any run. A target in the table
+  /// build runs the whole kP; a later one resumes at the last checkpoint
+  /// at or before it, on the golden table.
   RunObservation observe(std::uint64_t target,
                          const armvm::MemModelConfig& model,
                          const KernelRun& run_kernel) const;
 
-  /// Clean-run field-op counts of each profile priced with `prices`.
+  /// Clean-run field-op counts of each profile priced with `prices`:
+  /// the golden kP's counts plus those of each check the profile
+  /// enables, each counted once on fresh ops.
   std::array<ProfileCost, kNumProfiles> profile_costs(
       const ec::FieldCostTable& prices) const;
 
@@ -209,13 +240,19 @@ class GoldenKp {
   std::uint32_t product_off_ = 0;     ///< product words in kernel RAM
   std::size_t product_words_ = 0;
   std::uint64_t muls_per_kp_ = 0;
-  UInt k_;
+  /// Field-op counts of the golden kP, affine conversion included.
+  ec::FieldOpCounts kp_counts_;
   /// k recoded once for every run: width-4 TNAF digits of k partmod
   /// delta (binary) or width-4 NAF digits (prime).
   std::vector<int> k_digits_;
   AffinePoint p_;                     ///< binary family
+  ec::WtnafTable table_;
+  std::vector<Checkpoint<ec::LDPoint>> checkpoints_;
+  ec::LDPoint golden_ld_;             ///< the Horner loop's result
   AffinePoint golden_;
   ecp::AffinePointP pp_;              ///< prime family
+  ecp::WnafTableP ptable_;
+  std::vector<Checkpoint<ecp::JacobianPoint>> pcheckpoints_;
   ecp::AffinePointP pgolden_;
 };
 
@@ -236,13 +273,23 @@ GoldenKp::GoldenKp(const std::string& curve, std::uint64_t seed)
     ecp::PrimeCurveOps ops(*pcurve_);
     pp_ = ecp::mul_wnaf_p(ops, ops.generator(),
                           nonzero_below(rng, pcurve_->order), 4);
-    k_ = nonzero_below(rng, pcurve_->order);
-    k_digits_ = mpint::wnaf_digits(k_, 4);
+    k_digits_ = mpint::wnaf_digits(nonzero_below(rng, pcurve_->order), 4);
     // The golden kP runs on fresh ops, so its multiplication count is
-    // the splice target space.
+    // the splice target space (the affine conversion included). The
+    // Horner loop runs one digit at a time, with a checkpoint at every
+    // step: each one doubles.
     ecp::PrimeCurveOps golden_ops(*pcurve_);
-    pgolden_ = ecp::mul_wnaf_p(golden_ops, pp_, k_digits_, 4);
+    ptable_ = ecp::make_wnaf_table_p(golden_ops, pp_, 4);
+    const std::span<const int> digits(k_digits_);
+    ecp::JacobianPoint q = ecp::JacobianPoint::infinity();
+    for (std::size_t i = digits.size(); i-- > 0;) {
+      pcheckpoints_.push_back({i, golden_ops.counts().mul, q});
+      q = ecp::mul_wnaf_jac(golden_ops, ptable_, digits.subspan(i, 1),
+                            nullptr, q);
+    }
+    pgolden_ = golden_ops.to_affine(q);
     muls_per_kp_ = golden_ops.counts().mul;
+    kp_counts_ = field_counts(golden_ops.counts());
     return;
   }
   if (ref_.name != "sect233k1") {
@@ -258,16 +305,28 @@ GoldenKp::GoldenKp(const std::string& curve, std::uint64_t seed)
   CurveOps ops(curve_);
   p_ = ec::mul_wtnaf(ops, AffinePoint::make(curve_.gx, curve_.gy),
                      nonzero_below(rng, curve_.order), 4);
-  k_ = nonzero_below(rng, curve_.order);
-  k_digits_ = ec::wtnaf_digits(ec::partmod(k_, curve_), curve_.mu, 4);
+  const UInt k = nonzero_below(rng, curve_.order);
+  k_digits_ = ec::wtnaf_digits(ec::partmod(k, curve_), curve_.mu, 4);
   // The golden kP on fresh ops: the fmul calls of its table build and
   // Horner loop are the sample space for which multiplication gets the
-  // fault (the final normalisation is outside it).
+  // fault (the final normalisation is outside it). The loop runs one
+  // digit at a time, with a checkpoint at every nonzero digit: a
+  // Frobenius step only squares.
   CurveOps golden_ops(curve_);
-  const ec::WtnafTable t = ec::make_wtnaf_table(golden_ops, p_, 4);
-  const ec::LDPoint q = ec::mul_wtnaf_ld(golden_ops, t, k_digits_);
+  table_ = ec::make_wtnaf_table(golden_ops, p_, 4);
+  const std::span<const int> digits(k_digits_);
+  ec::LDPoint q = ec::LDPoint::infinity();
+  for (std::size_t i = digits.size(); i-- > 0;) {
+    if (digits[i] != 0) {
+      checkpoints_.push_back({i, golden_ops.counts().mul, q});
+    }
+    q = ec::mul_wtnaf_ld(golden_ops, table_, digits.subspan(i, 1), nullptr,
+                         q);
+  }
   muls_per_kp_ = golden_ops.counts().mul;
+  golden_ld_ = q;
   golden_ = golden_ops.to_affine(q);
+  kp_counts_ = golden_ops.counts();
 }
 
 std::vector<std::uint32_t> GoldenKp::limbs(const UInt& v) const {
@@ -327,12 +386,17 @@ RunObservation GoldenKp::observe(std::uint64_t target,
                                  const KernelRun& run_kernel) const {
   RunObservation obs;
   bool fired = false;
+  const std::span<const int> digits(k_digits_);
   try {
     if (prime()) {
+      const auto* cp = resume_point(pcheckpoints_, target);
+      // The fresh ops number their multiplications from the resume
+      // point.
+      const std::uint64_t local = cp != nullptr ? target - cp->mul : target;
       ecp::PrimeCurveOps ops(*pcurve_);
       ops.set_mul_tamper([&](std::uint64_t idx, const ecp::Fe& a,
                              const ecp::Fe& b, ecp::Fe& out) {
-        if (fired || idx != target) return;
+        if (fired || idx != local) return;
         fired = true;
         // The splice boundary reduces the (possibly faulted) raw kernel
         // output into [0, p): the host Montgomery oracle's add/sub
@@ -343,8 +407,14 @@ RunObservation GoldenKp::observe(std::uint64_t target,
         out = pcurve_->mont->load(
             UInt(run_spliced(aw, bw, model, run_kernel, obs)) % pcurve_->p);
       });
-      const ecp::AffinePointP q =
-          ecp::mul_wnaf_p(ops, pp_, k_digits_, 4, &obs.collapsed);
+      // The golden prefix never collapses, so a resumed run starts with
+      // the flag clear, as the whole run would reach that step.
+      const ecp::AffinePointP q = ops.to_affine(
+          cp != nullptr
+              ? ecp::mul_wnaf_jac(ops, ptable_, digits.first(cp->pos + 1),
+                                  &obs.collapsed, cp->acc)
+              : ecp::mul_wnaf_jac(ops, ecp::make_wnaf_table_p(ops, pp_, 4),
+                                  digits, &obs.collapsed));
       obs.inf = q.inf;
       obs.oncurve = q.inf ? true : ops.on_curve(q);
       obs.wrong = !ops.eq(q, pgolden_);
@@ -353,19 +423,27 @@ RunObservation GoldenKp::observe(std::uint64_t target,
         obs.order_ok = ecp::mul_wnaf_p(ops, q, pcurve_->order, 4).inf;
       }
     } else {
+      const auto* cp = resume_point(checkpoints_, target);
+      const std::uint64_t local = cp != nullptr ? target - cp->mul : target;
       CurveOps ops(curve_);
       ops.set_mul_tamper([&](std::uint64_t idx, const gf2::Elem& a,
                              const gf2::Elem& b, gf2::Elem& out) {
-        if (fired || idx != target) return;
+        if (fired || idx != local) return;
         fired = true;
         const std::vector<std::uint32_t> product =
             run_spliced(fe_words(a), fe_words(b), model, run_kernel, obs);
         out = {};
         std::copy(product.begin(), product.end(), out.begin());
       });
-      const ec::WtnafTable t = ec::make_wtnaf_table(ops, p_, 4, &obs.collapsed);
-      const ec::LDPoint q_ld =
-          ec::mul_wtnaf_ld(ops, t, k_digits_, &obs.collapsed);
+      ec::LDPoint q_ld;
+      if (cp != nullptr) {
+        q_ld = ec::mul_wtnaf_ld(ops, table_, digits.first(cp->pos + 1),
+                                &obs.collapsed, cp->acc);
+      } else {
+        const ec::WtnafTable t =
+            ec::make_wtnaf_table(ops, p_, 4, &obs.collapsed);
+        q_ld = ec::mul_wtnaf_ld(ops, t, digits, &obs.collapsed);
+      }
       obs.inf = q_ld.is_inf();
       obs.oncurve = ops.on_curve_ld(q_ld);
       const AffinePoint q = ops.to_affine(q_ld);
@@ -387,25 +465,40 @@ RunObservation GoldenKp::observe(std::uint64_t target,
 
 std::array<ProfileCost, kNumProfiles> GoldenKp::profile_costs(
     const ec::FieldCostTable& prices) const {
+  // The clean run of a profile is the golden kP plus the checks it
+  // enables (ec::scalarmul_protected's, or their prime-side
+  // equivalents), and field-op counts add up.
+  ec::FieldOpCounts validate, recheck, order;
+  if (prime()) {
+    const auto counted = [&](const auto& check) {
+      ecp::PrimeCurveOps ops(*pcurve_);
+      check(ops);
+      return field_counts(ops.counts());
+    };
+    validate = counted([&](ecp::PrimeCurveOps& ops) { ops.on_curve(pp_); });
+    recheck = counted([&](ecp::PrimeCurveOps& ops) { ops.on_curve(pgolden_); });
+    order = counted([&](ecp::PrimeCurveOps& ops) {
+      ecp::mul_wnaf_p(ops, pgolden_, pcurve_->order, 4);
+    });
+  } else {
+    const auto counted = [&](const auto& check) {
+      CurveOps ops(curve_);
+      check(ops);
+      return ops.counts();
+    };
+    validate = counted([&](CurveOps& ops) { ops.on_curve(p_); });
+    recheck = counted([&](CurveOps& ops) { ops.on_curve_ld(golden_ld_); });
+    order = counted(
+        [&](CurveOps& ops) { ec::mul_wnaf(ops, golden_, curve_.order, 4); });
+  }
   std::array<ProfileCost, kNumProfiles> out;
   const auto& profiles = protection_profiles();
   for (unsigned p = 0; p < kNumProfiles; ++p) {
-    if (prime()) {
-      // Prime-side equivalent of ec::scalarmul_protected's clean run:
-      // the same checks, counted through PrimeCurveOps.
-      ecp::PrimeCurveOps ops(*pcurve_);
-      const ec::ProtectOpts& o = profiles[p].opts;
-      if (o.validate_input) (void)ops.on_curve(pp_);
-      const ecp::AffinePointP q = ecp::mul_wnaf_p(ops, pp_, k_, 4);
-      if (o.recheck_result) (void)ops.on_curve(q);
-      if (o.order_check) (void)ecp::mul_wnaf_p(ops, q, pcurve_->order, 4);
-      const ecp::PrimeOpCounts& c = ops.counts();
-      out[p].ops = {c.mul, c.sqr, c.inv, c.add};
-    } else {
-      CurveOps ops(curve_);
-      (void)ec::scalarmul_protected(ops, p_, k_, 4, profiles[p].opts);
-      out[p].ops = ops.counts();
-    }
+    const ec::ProtectOpts& o = profiles[p].opts;
+    out[p].ops = kp_counts_;
+    if (o.validate_input) out[p].ops = out[p].ops + validate;
+    if (o.recheck_result) out[p].ops = out[p].ops + recheck;
+    if (o.order_check) out[p].ops = out[p].ops + order;
     out[p].cycles = priced_cycles(out[p].ops, prices);
     out[p].energy_uj =
         static_cast<double>(out[p].cycles) * prices.pj_per_cycle * 1e-6;
@@ -431,22 +524,26 @@ KpFaultCampaign::KpFaultCampaign(std::uint64_t seed,
 
 KpFaultCampaign::~KpFaultCampaign() = default;
 
-ModelResult KpFaultCampaign::run_model(FaultModel model, std::uint64_t runs,
-                                       unsigned threads) {
-  ModelResult res;
-  res.model = model;
-  res.runs = runs;
+std::array<ModelResult, kNumFaultModels> KpFaultCampaign::run_models(
+    std::uint64_t runs, unsigned threads) {
   sim::BatchExecutor pool(threads);
   pool.set_metrics(metrics_);
-  // Per-run stream: child `run` of the per-model stream. A pure function
-  // of (seed, model, run), so any thread can evaluate any run and the
+  // Per-model stream: a pure function of (seed, model). Run i of the
+  // batch is run i % runs of model i / runs, and draws from child `run`
+  // of its model's stream, so any thread can evaluate any run and the
   // campaign is independent of scheduling order.
-  const Rng model_stream(seed_ ^ (0x9E3779B97F4A7C15ull *
-                                  (static_cast<std::uint64_t>(model) + 2)));
+  const auto model_of = [](std::uint64_t m) {
+    return static_cast<FaultModel>(m);  // enum order: register..opcode
+  };
+  const auto model_stream = [&](FaultModel model) {
+    return Rng(seed_ ^ (0x9E3779B97F4A7C15ull *
+                        (static_cast<std::uint64_t>(model) + 2)));
+  };
   const GoldenKp& golden = *golden_;
-  const std::vector<RunObservation> observations =
-      pool.map<RunObservation>(runs, [&](std::uint64_t run) {
-        Rng rng = model_stream.split(run);
+  const std::vector<RunObservation> observations = pool.map<RunObservation>(
+      kNumFaultModels * runs, [&](std::uint64_t i) {
+        const FaultModel model = model_of(i / runs);
+        Rng rng = model_stream(model).split(i % runs);
         const std::uint64_t target = rng.next_below(golden.muls_per_kp());
         const FaultSpec spec =
             sample_spec(rng, model, kernel_retires_, golden.data_words());
@@ -459,43 +556,51 @@ ModelResult KpFaultCampaign::run_model(FaultModel model, std::uint64_t runs,
         return obs;
       });
 
-  // Tally serially in run order, so the result is byte-for-byte the
-  // same whatever the worker count.
+  // Tally each model serially in run order, so the result is
+  // byte-for-byte the same whatever the worker count.
+  std::array<ModelResult, kNumFaultModels> out;
   const auto& profiles = protection_profiles();
-  for (const RunObservation& obs : observations) {
-    if (obs.vm_injected) ++res.injected;
-    for (unsigned p = 0; p < kNumProfiles; ++p) {
-      Outcome outcome;
-      if (obs.crashed) {
-        outcome = Outcome::kCrashed;
-      } else if (!obs.wrong) {
-        outcome = Outcome::kCorrect;
-      } else {
-        outcome = refuses(profiles[p].opts, obs) ? Outcome::kDetected
-                                                 : Outcome::kSilentWrong;
+  for (unsigned m = 0; m < kNumFaultModels; ++m) {
+    ModelResult& res = out[m];
+    res.model = model_of(m);
+    res.runs = runs;
+    const std::span<const RunObservation> model_obs =
+        std::span(observations).subspan(m * runs, runs);
+    for (const RunObservation& obs : model_obs) {
+      if (obs.vm_injected) ++res.injected;
+      for (unsigned p = 0; p < kNumProfiles; ++p) {
+        Outcome outcome;
+        if (obs.crashed) {
+          outcome = Outcome::kCrashed;
+        } else if (!obs.wrong) {
+          outcome = Outcome::kCorrect;
+        } else {
+          outcome = refuses(profiles[p].opts, obs) ? Outcome::kDetected
+                                                   : Outcome::kSilentWrong;
+        }
+        res.per_profile[p].add(outcome);
       }
-      res.per_profile[p].add(outcome);
     }
-  }
 
-  if (metrics_ != nullptr) {
-    // Recorded here, in serial run order, from deterministic per-run
-    // observations — so the snapshot is the same for any thread count.
-    const std::string prefix =
-        std::string("campaign.kp.") + fault_model_name(model) + ".";
-    metrics_->counter(prefix + "runs").add(runs);
-    metrics_->counter(prefix + "injected").add(res.injected);
-    for (unsigned p = 0; p < kNumProfiles; ++p) {
-      const std::string pp = prefix + profiles[p].name + ".";
-      const OutcomeTally& t = res.per_profile[p];
-      metrics_->counter(pp + "correct").add(t.correct);
-      metrics_->counter(pp + "detected").add(t.detected);
-      metrics_->counter(pp + "crashed").add(t.crashed);
-      metrics_->counter(pp + "silent-wrong").add(t.silent);
+    if (metrics_ != nullptr) {
+      // Recorded here, in serial run order, from deterministic per-run
+      // observations — so the snapshot is the same for any thread count.
+      const std::string prefix =
+          std::string("campaign.kp.") + fault_model_name(res.model) + ".";
+      metrics_->counter(prefix + "runs").add(runs);
+      metrics_->counter(prefix + "injected").add(res.injected);
+      for (unsigned p = 0; p < kNumProfiles; ++p) {
+        const std::string pp = prefix + profiles[p].name + ".";
+        const OutcomeTally& t = res.per_profile[p];
+        metrics_->counter(pp + "correct").add(t.correct);
+        metrics_->counter(pp + "detected").add(t.detected);
+        metrics_->counter(pp + "crashed").add(t.crashed);
+        metrics_->counter(pp + "silent-wrong").add(t.silent);
+      }
+      record_vm_cycles(*metrics_, "campaign.kp.vm_cycles", model_obs);
     }
-    record_vm_cycles(*metrics_, "campaign.kp.vm_cycles", observations);
   }
-  return res;
+  return out;
 }
 
 std::array<ProfileCost, kNumProfiles> KpFaultCampaign::profile_costs(
@@ -620,13 +725,7 @@ CampaignResult run_kp_campaign(const CampaignConfig& config) {
   KpFaultCampaign campaign(config.seed, config.engine, config.curve);
   campaign.set_metrics(config.metrics);
   campaign.set_progress(config.progress);
-  const FaultModel models[kNumFaultModels] = {
-      FaultModel::kRegisterFlip, FaultModel::kRamFlip,
-      FaultModel::kInstructionSkip, FaultModel::kOpcodeFlip};
-  for (unsigned m = 0; m < kNumFaultModels; ++m) {
-    res.models[m] =
-        campaign.run_model(models[m], config.runs_per_model, config.threads);
-  }
+  res.models = campaign.run_models(config.runs_per_model, config.threads);
   // Price the profile-overhead column with the matching field family's
   // cost model.
   const workloads::CurveRef& ref = workloads::curve_from_name(config.curve);

@@ -8,10 +8,13 @@
 // for GF(2^m), the Montgomery multiplier for GF(p)) under a seeded
 // FaultSpec. The faulted product — or the crash — then
 // propagates through the rest of the scalar multiplication exactly as
-// it would on a glitched node. Every run is classified against each
-// countermeasure profile of ec::scalarmul_protected, producing the
-// detection-coverage matrix (profile x fault model -> % silent
-// corruption) that bench_fault_campaign prints.
+// it would on a glitched node. Up to that multiplication a run is the
+// clean ("golden") kP, so it starts from the golden accumulator at the
+// last Horner step before it rather than from the identity (runs that
+// fault the table build compute the whole kP). Every run is classified
+// against each countermeasure profile of ec::scalarmul_protected,
+// producing the detection-coverage matrix (profile x fault model -> %
+// silent corruption) that bench_fault_campaign prints.
 //
 // Determinism: one seed fixes (P, k), the golden result, the faulted
 // multiplication's position and every FaultSpec. Same seed, same
@@ -126,11 +129,12 @@ class KpFaultCampaign {
       const std::string& curve = "sect233k1");
   ~KpFaultCampaign();
 
-  /// Inject `runs` seeded faults of `model`, one per kP computation,
-  /// fanned across `threads` workers (1 = serial; 0 = hardware
-  /// concurrency). The tally is independent of the thread count.
-  ModelResult run_model(FaultModel model, std::uint64_t runs,
-                        unsigned threads = 1);
+  /// Inject `runs` seeded faults of every fault model, one per kP
+  /// computation, as one batch fanned across `threads` workers (1 =
+  /// serial; 0 = hardware concurrency). Results are in FaultModel order;
+  /// the tallies are independent of the thread count.
+  std::array<ModelResult, kNumFaultModels> run_models(std::uint64_t runs,
+                                                      unsigned threads = 1);
 
   /// Clean-run field-op counts of each profile priced with `prices`.
   std::array<ProfileCost, kNumProfiles> profile_costs(

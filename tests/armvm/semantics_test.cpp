@@ -6,6 +6,8 @@
 // a fused block, so both compilations of armvm/ops.inc are checked.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "armvm/asm.h"
 #include "armvm/cpu.h"
 #include "armvm/dispatch.h"
@@ -35,6 +37,34 @@ RefResult ref_add_with_carry(std::uint32_t a, std::uint32_t b, bool cin) {
   return {r, f};
 }
 
+/// ARMv6-M Shift_C by register for LSL/LSR/ASR/ROR: only the bottom
+/// byte of the amount counts, and amount 0 leaves the value and C as
+/// they were. N and Z follow the result; V is untouched.
+RefResult ref_shift_by_register(const std::string& op, std::uint32_t v,
+                                std::uint32_t amount, bool cin) {
+  const unsigned n = amount & 0xFFu;
+  std::uint32_t r = v;
+  bool c = cin;
+  if (n != 0) {
+    if (op == "lsls") {
+      r = n < 32 ? v << n : 0;
+      c = n <= 32 && ((v >> (32 - n)) & 1u) != 0;
+    } else if (op == "lsrs") {
+      r = n < 32 ? v >> n : 0;
+      c = n <= 32 && ((v >> (n - 1)) & 1u) != 0;
+    } else if (op == "asrs") {
+      const auto sv = static_cast<std::int32_t>(v);
+      r = static_cast<std::uint32_t>(n < 32 ? sv >> n : sv >> 31);
+      c = ((n < 32 ? v >> (n - 1) : v >> 31) & 1u) != 0;
+    } else {  // rors: amounts that are multiples of 32 keep the value
+      const unsigned m = n % 32;
+      r = m == 0 ? v : (v >> m) | (v << (32 - m));
+      c = (r >> 31) != 0;
+    }
+  }
+  return {r, {(r >> 31) != 0, r == 0, c, false}};
+}
+
 class Harness {
  public:
   Harness(const std::string& body, Cpu::DecodeMode mode)
@@ -42,15 +72,14 @@ class Harness {
         mem_(1 << 12),
         cpu_(prog_, mem_, mode) {}
 
+  /// Run the body with r0, r1 and APSR = {N, Z, V clear, C = carry_in}.
   RefResult run(std::uint32_t r0, std::uint32_t r1, bool carry_in = false) {
+    ArchState s = cpu_.arch_state();
+    s.n = s.z = s.v = false;
+    s.c = carry_in;
+    cpu_.set_arch_state(s);
     cpu_.set_reg(0, r0);
     cpu_.set_reg(1, r1);
-    if (carry_in) {
-      // Set C by running "cmp r2, r2" style trick: instead, seed via a
-      // shift: place value 3 in r2 and LSR by 1 -> C=1. We bake it in by
-      // running a priming instruction sequence in the harness body
-      // instead; tests needing carry use bodies that set it.
-    }
     (void)cpu_.call(prog_->entry("fn"), {});
     return {cpu_.reg(0),
             {cpu_.flag_n(), cpu_.flag_z(), cpu_.flag_c(), cpu_.flag_v()}};
@@ -157,6 +186,60 @@ TEST_P(Semantics, RegisterShiftBoundaryAmounts) {
   EXPECT_EQ(got.value, 0u);
   EXPECT_TRUE(got.f.c);  // bit 31
   EXPECT_EQ(lsr.run(v, 255).value, 0u);
+}
+
+// Carry-in is architectural state the harness sets, so each carry-using
+// op is checked against the reference on both C values, not only
+// engine against engine.
+TEST_P(Semantics, CarryInOpsMatchReference) {
+  Harness adcs("    adcs r0, r1\n", GetParam());
+  Harness sbcs("    sbcs r0, r1\n", GetParam());
+  Harness cmn("    cmn r0, r1\n", GetParam());
+  Rng rng(8);
+  for (int i = 0; i < 200; ++i) {
+    const auto a = static_cast<std::uint32_t>(rng.next_u64());
+    // Every fourth pair sits on a carry boundary.
+    const auto b = i % 4 == 0 ? ~a : static_cast<std::uint32_t>(rng.next_u64());
+    for (const bool cin : {false, true}) {
+      RefResult want = ref_add_with_carry(a, b, cin);
+      RefResult got = adcs.run(a, b, cin);
+      EXPECT_EQ(got.value, want.value) << "adcs C=" << cin;
+      EXPECT_EQ(got.f, want.f) << "adcs " << a << "+" << b << " C=" << cin;
+      want = ref_add_with_carry(a, ~b, cin);
+      got = sbcs.run(a, b, cin);
+      EXPECT_EQ(got.value, want.value) << "sbcs C=" << cin;
+      EXPECT_EQ(got.f, want.f) << "sbcs " << a << "-" << b << " C=" << cin;
+      // CMN sets the flags of a + b, ignores carry-in, and writes no
+      // register.
+      want = ref_add_with_carry(a, b, false);
+      got = cmn.run(a, b, cin);
+      EXPECT_EQ(got.value, a) << "cmn";
+      EXPECT_EQ(got.f, want.f) << "cmn " << a << "+" << b << " C=" << cin;
+    }
+  }
+}
+
+TEST_P(Semantics, RegisterShiftsMatchReferenceOnBothCarries) {
+  Rng rng(9);
+  for (const std::string op : {"lsls", "lsrs", "asrs", "rors"}) {
+    Harness h("    " + op + " r0, r1\n", GetParam());
+    for (int i = 0; i < 8; ++i) {
+      // Sign bit and bit 0 set, then random values.
+      const std::uint32_t v =
+          i == 0 ? 0x80000001u : static_cast<std::uint32_t>(rng.next_u64());
+      for (const std::uint32_t amount :
+           {0u, 1u, 31u, 32u, 33u, 255u, 0x100u, 0x120u}) {
+        for (const bool cin : {false, true}) {
+          const RefResult want = ref_shift_by_register(op, v, amount, cin);
+          const RefResult got = h.run(v, amount, cin);
+          EXPECT_EQ(got.value, want.value)
+              << op << " " << v << " by " << amount << " C=" << cin;
+          EXPECT_EQ(got.f, want.f)
+              << op << " " << v << " by " << amount << " C=" << cin;
+        }
+      }
+    }
+  }
 }
 
 TEST_P(Semantics, MulsTruncatesTo32Bits) {

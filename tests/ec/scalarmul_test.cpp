@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
 
 namespace eccm0::ec {
@@ -68,6 +72,91 @@ TEST_P(WtnafCurveTest, DistributesOverScalarAddition)  {
   const AffinePoint rhs =
       ops.add(mul_wtnaf(ops, g, a, 4), mul_wtnaf(ops, g, b, 4));
   EXPECT_EQ(lhs, rhs);
+}
+
+void expect_same(const LDPoint& got, const LDPoint& want,
+                 const std::string& where) {
+  EXPECT_TRUE(got.X == want.X && got.Y == want.Y && got.Z == want.Z)
+      << where;
+}
+
+// The resume seam the fault campaign uses: the digit loop split at any
+// nonzero digit and resumed from the prefix's accumulator is the whole
+// loop. The resumed loop's tamper hook sees, at local index j, the
+// (a, b) the whole loop's hook sees at the prefix's count + j; and a
+// zeroed product in the resumed part (which can collapse the
+// accumulator) ends where the same fault in the whole loop ends,
+// `collapsed` included.
+TEST_P(WtnafCurveTest, ResumedDigitLoopEqualsWholeLoop) {
+  const auto& c = *GetParam();
+  Rng rng(5);
+  CurveOps setup(c);
+  const AffinePoint p =
+      mul_wtnaf(setup, generator(c), UInt::random_below(rng, c.order), 4);
+  const UInt k = UInt::random_below(rng, c.order);
+  const std::vector<int> digits = wtnaf_digits(partmod(k, c), c.mu, 4);
+  const std::span<const int> all(digits);
+  const WtnafTable table = make_wtnaf_table(setup, p, 4);
+
+  using Mul = std::pair<gf2::Elem, gf2::Elem>;
+  std::vector<Mul> golden;
+  CurveOps whole(c);
+  whole.set_mul_tamper([&](std::uint64_t, const gf2::Elem& a,
+                           const gf2::Elem& b, gf2::Elem&) {
+    golden.emplace_back(a, b);
+  });
+  const LDPoint want = mul_wtnaf_ld(whole, table, all);
+  const auto zero_mul = [](CurveOps& ops, std::uint64_t target) {
+    ops.set_mul_tamper([target](std::uint64_t i, const gf2::Elem&,
+                                const gf2::Elem&, gf2::Elem& r) {
+      if (i == target) r = {};
+    });
+  };
+
+  CurveOps prefix(c);
+  LDPoint q = LDPoint::infinity();
+  unsigned splits = 0;
+  unsigned collapses = 0;
+  for (std::size_t i = digits.size(); i-- > 0;) {
+    if (digits[i] != 0) {
+      const std::string where = c.name + " digit " + std::to_string(i);
+      const std::uint64_t at = prefix.counts().mul;
+      const std::span<const int> rest = all.first(i + 1);
+      CurveOps resumed(c);
+      std::uint64_t seen = 0;
+      resumed.set_mul_tamper([&](std::uint64_t j, const gf2::Elem& a,
+                                 const gf2::Elem& b, gf2::Elem&) {
+        ++seen;
+        ASSERT_LT(at + j, golden.size()) << where;
+        EXPECT_TRUE(golden[at + j] == Mul(a, b)) << where << " mul " << j;
+      });
+      bool collapsed = false;
+      expect_same(mul_wtnaf_ld(resumed, table, rest, &collapsed, q), want,
+                  where);
+      EXPECT_FALSE(collapsed) << where;
+      EXPECT_EQ(at + seen, golden.size()) << where;
+
+      // Mixed additions multiply 8 times; zeroing the third (C) zeroes
+      // Z3, the collapse.
+      const std::uint64_t j = splits++ % 8;
+      CurveOps faulted_whole(c);
+      CurveOps faulted_resumed(c);
+      zero_mul(faulted_whole, at + j);
+      zero_mul(faulted_resumed, j);
+      bool whole_collapsed = false;
+      bool resumed_collapsed = false;
+      const LDPoint from_start =
+          mul_wtnaf_ld(faulted_whole, table, all, &whole_collapsed);
+      expect_same(mul_wtnaf_ld(faulted_resumed, table, rest,
+                               &resumed_collapsed, q),
+                  from_start, where + " zeroed mul " + std::to_string(j));
+      EXPECT_EQ(resumed_collapsed, whole_collapsed) << where;
+      if (whole_collapsed) ++collapses;
+    }
+    q = mul_wtnaf_ld(prefix, table, all.subspan(i, 1), nullptr, q);
+  }
+  expect_same(q, want, c.name + " digit by digit");
+  EXPECT_GT(collapses, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Koblitz, WtnafCurveTest,

@@ -7,7 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
+#include "mpint/sint.h"
 
 namespace eccm0::ecp {
 namespace {
@@ -181,6 +187,106 @@ TEST_P(PrimeCurveTest, ZeroedProductCollapseSetsFlag) {
   }
   EXPECT_GT(flagged, 0);
   EXPECT_GT(flagged_on_curve, 0);
+}
+
+void expect_same(const JacobianPoint& got, const JacobianPoint& want,
+                 const std::string& where) {
+  EXPECT_TRUE(got.X == want.X && got.Y == want.Y && got.Z == want.Z)
+      << where;
+}
+
+TEST_P(PrimeCurveTest, WnafIsTableLoopAndAffineConversion) {
+  const auto& c = *GetParam();
+  Rng rng(9);
+  const AffinePointP g = ops_.generator();
+  for (int i = 0; i < 3; ++i) {
+    const std::vector<int> digits =
+        mpint::wnaf_digits(UInt::random_below(rng, c.order), 4);
+    PrimeCurveOps whole(c);
+    PrimeCurveOps composed(c);
+    const AffinePointP want = mul_wnaf_p(whole, g, digits, 4);
+    const WnafTableP table = make_wnaf_table_p(composed, g, 4);
+    EXPECT_TRUE(composed.eq(
+        composed.to_affine(mul_wnaf_jac(composed, table, digits)), want));
+    EXPECT_EQ(composed.counts().mul, whole.counts().mul);
+    EXPECT_EQ(composed.counts().sqr, whole.counts().sqr);
+    EXPECT_EQ(composed.counts().inv, whole.counts().inv);
+    EXPECT_EQ(composed.counts().add, whole.counts().add);
+  }
+}
+
+// The resume seam the fault campaign uses: the Jacobian loop split at
+// any step and resumed from the prefix's accumulator is the whole loop.
+// The resumed loop's tamper hook sees, at local index j, the (a, b) the
+// whole loop's hook sees at the prefix's count + j; and a zeroed product
+// in the resumed part ends where the same fault in the whole loop ends,
+// `collapsed` included.
+TEST_P(PrimeCurveTest, ResumedJacobianLoopEqualsWholeLoop) {
+  const auto& c = *GetParam();
+  Rng rng(10);
+  const AffinePointP p =
+      mul_wnaf_p(ops_, ops_.generator(), UInt::random_below(rng, c.order), 4);
+  const std::vector<int> digits =
+      mpint::wnaf_digits(UInt::random_below(rng, c.order), 4);
+  const std::span<const int> all(digits);
+  const WnafTableP table = make_wnaf_table_p(ops_, p, 4);
+
+  using Mul = std::pair<Fe, Fe>;
+  std::vector<Mul> golden;
+  PrimeCurveOps whole(c);
+  whole.set_mul_tamper([&](std::uint64_t, const Fe& a, const Fe& b, Fe&) {
+    golden.emplace_back(a, b);
+  });
+  const JacobianPoint want = mul_wnaf_jac(whole, table, all);
+  const auto zero_mul = [](PrimeCurveOps& ops, std::uint64_t target) {
+    ops.set_mul_tamper([target](std::uint64_t i, const Fe&, const Fe&,
+                                Fe& r) {
+      if (i == target) r = Fe{};
+    });
+  };
+
+  PrimeCurveOps prefix(c);
+  JacobianPoint q = JacobianPoint::infinity();
+  unsigned collapses = 0;
+  for (std::size_t i = digits.size(); i-- > 0;) {
+    const std::string where = c.name + " digit " + std::to_string(i);
+    const std::uint64_t at = prefix.counts().mul;
+    const std::span<const int> rest = all.first(i + 1);
+    PrimeCurveOps resumed(c);
+    std::uint64_t seen = 0;
+    resumed.set_mul_tamper(
+        [&](std::uint64_t j, const Fe& a, const Fe& b, Fe&) {
+          ++seen;
+          ASSERT_LT(at + j, golden.size()) << where;
+          EXPECT_TRUE(golden[at + j] == Mul(a, b)) << where << " mul " << j;
+        });
+    bool collapsed = false;
+    expect_same(mul_wnaf_jac(resumed, table, rest, &collapsed, q), want,
+                where);
+    EXPECT_FALSE(collapsed) << where;
+    EXPECT_EQ(at + seen, golden.size()) << where;
+
+    // A step doubles (3M) and may add (8M, Z3 = Z1*H last); the zeroed
+    // product walks through both.
+    const std::uint64_t j = i % 11;
+    PrimeCurveOps faulted_whole(c);
+    PrimeCurveOps faulted_resumed(c);
+    zero_mul(faulted_whole, at + j);
+    zero_mul(faulted_resumed, j);
+    bool whole_collapsed = false;
+    bool resumed_collapsed = false;
+    const JacobianPoint from_start =
+        mul_wnaf_jac(faulted_whole, table, all, &whole_collapsed);
+    expect_same(
+        mul_wnaf_jac(faulted_resumed, table, rest, &resumed_collapsed, q),
+        from_start, where + " zeroed mul " + std::to_string(j));
+    EXPECT_EQ(resumed_collapsed, whole_collapsed) << where;
+    if (whole_collapsed) ++collapses;
+
+    q = mul_wnaf_jac(prefix, table, all.subspan(i, 1), nullptr, q);
+  }
+  expect_same(q, want, c.name + " step by step");
+  EXPECT_GT(collapses, 0u);
 }
 
 TEST_P(PrimeCurveTest, JacobianOpCosts) {

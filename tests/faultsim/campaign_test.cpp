@@ -2,10 +2,14 @@
 // armvm core, and the kP campaign's classification invariants.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 
 #include "armvm/asm.h"
 #include "asmkernels/gen.h"
+#include "ec/protect.h"
+#include "ec/scalarmul.h"
+#include "ecp/ops.h"
 #include "faultsim/biterr.h"
 #include "faultsim/campaign.h"
 #include "faultsim/inject.h"
@@ -488,6 +492,125 @@ TEST(MemCampaign, PrimeCurveSweepClassifiesEveryRun) {
   EXPECT_EQ(res.models[0].clean_cycles, 4244u);
   EXPECT_EQ(res.models[1].clean_cycles, 4523u);
   EXPECT_EQ(res.models[2].clean_cycles, 4802u);
+}
+
+/// One model's tally as "injected|c,d,x,s|..." (correct, detected,
+/// crashed, silent per profile).
+std::string tally_string(const ModelResult& m) {
+  std::string s = std::to_string(m.injected);
+  for (const OutcomeTally& t : m.per_profile) {
+    s += "|" + std::to_string(t.correct) + "," + std::to_string(t.detected) +
+         "," + std::to_string(t.crashed) + "," + std::to_string(t.silent);
+  }
+  return s;
+}
+
+// Small campaigns on every curve, pinned to the tallies of the
+// whole-kP runs they were first drawn from: a run resumed at a golden
+// Horner step must classify exactly as the whole kP did. The prime
+// curves have no other committed tally (secp224r1 is the 7-limb 32-bit
+// Montgomery path).
+TEST(Campaign, SmallCampaignTalliesArePinned) {
+  struct Pinned {
+    const char* curve;
+    std::array<const char*, kNumFaultModels> models;
+  };
+  const Pinned pinned[] = {
+      {"sect233k1",
+       {"16|2,0,5,9|2,0,5,9|2,9,5,0|2,9,5,0",
+        "16|12,0,0,4|12,0,0,4|12,4,0,0|12,4,0,0",
+        "16|1,0,0,15|1,0,0,15|1,15,0,0|1,15,0,0",
+        "16|2,0,3,11|2,0,3,11|2,11,3,0|2,11,3,0"}},
+      {"secp192r1",
+       {"16|10,0,4,2|10,0,4,2|10,2,4,0|10,2,4,0",
+        "16|15,0,0,1|15,0,0,1|15,1,0,0|15,1,0,0",
+        "16|2,0,2,12|2,0,2,12|2,12,2,0|2,12,2,0",
+        "16|2,0,4,10|2,0,4,10|2,10,4,0|2,10,4,0"}},
+      {"secp224r1",
+       {"16|7,0,4,5|7,0,4,5|7,5,4,0|7,5,4,0",
+        "16|15,0,0,1|15,0,0,1|15,1,0,0|15,1,0,0",
+        "16|8,0,2,6|8,0,2,6|8,6,2,0|8,6,2,0",
+        "16|4,0,3,9|4,0,3,9|4,9,3,0|4,9,3,0"}},
+      {"secp256r1",
+       {"16|4,0,4,8|4,0,4,8|4,8,4,0|4,8,4,0",
+        "16|15,0,0,1|15,0,0,1|15,1,0,0|15,1,0,0",
+        "16|6,0,2,8|6,0,2,8|6,8,2,0|6,8,2,0",
+        "16|2,0,2,12|2,0,2,12|2,12,2,0|2,12,2,0"}},
+  };
+  for (const Pinned& want : pinned) {
+    CampaignConfig cfg;
+    cfg.curve = want.curve;
+    cfg.seed = 0x91A5;
+    cfg.runs_per_model = 16;
+    cfg.threads = 4;
+    const CampaignResult res = run_kp_campaign(cfg);
+    for (unsigned m = 0; m < kNumFaultModels; ++m) {
+      EXPECT_EQ(tally_string(res.models[m]), want.models[m])
+          << want.curve << " " << fault_model_name(res.models[m].model);
+    }
+  }
+}
+
+/// The seed-derived (P, k) of a campaign, drawn as the campaign draws
+/// them.
+mpint::UInt nonzero_below(Rng& rng, const mpint::UInt& order) {
+  mpint::UInt v;
+  do {
+    v = mpint::UInt::random_below(rng, order);
+  } while (v.is_zero());
+  return v;
+}
+
+/// A profile's clean-run counts the way a protected kP spends them:
+/// ec::scalarmul_protected on sect233k1, its checks around mul_wnaf_p on
+/// a prime curve.
+ec::FieldOpCounts protected_run_counts(const std::string& curve,
+                                       std::uint64_t seed,
+                                       const ec::ProtectOpts& o) {
+  const workloads::CurveRef& ref = workloads::curve_from_name(curve);
+  Rng rng(seed);
+  if (ref.binary_field) {
+    const ec::BinaryCurve& c = ec::BinaryCurve::sect233k1();
+    ec::CurveOps setup(c);
+    const ec::AffinePoint p =
+        ec::mul_wtnaf(setup, ec::AffinePoint::make(c.gx, c.gy),
+                      nonzero_below(rng, c.order), 4);
+    const mpint::UInt k = nonzero_below(rng, c.order);
+    ec::CurveOps ops(c);
+    (void)ec::scalarmul_protected(ops, p, k, 4, o);
+    return ops.counts();
+  }
+  const ecp::PrimeCurve& c = workloads::prime_curve(ref);
+  ecp::PrimeCurveOps setup(c);
+  const ecp::AffinePointP p =
+      ecp::mul_wnaf_p(setup, setup.generator(), nonzero_below(rng, c.order), 4);
+  const mpint::UInt k = nonzero_below(rng, c.order);
+  ecp::PrimeCurveOps ops(c);
+  if (o.validate_input) (void)ops.on_curve(p);
+  const ecp::AffinePointP q = ecp::mul_wnaf_p(ops, p, k, 4);
+  if (o.recheck_result) (void)ops.on_curve(q);
+  if (o.order_check) (void)ecp::mul_wnaf_p(ops, q, c.order, 4);
+  const ecp::PrimeOpCounts& n = ops.counts();
+  return {n.mul, n.sqr, n.inv, n.add};
+}
+
+// The overhead column sums stage counts (the golden kP, then each check
+// a profile enables); it must equal running each profile's protected kP
+// on fresh ops.
+TEST(Campaign, StageSummedCostsEqualProtectedRuns) {
+  const auto& profiles = protection_profiles();
+  for (const char* curve :
+       {"sect233k1", "secp192r1", "secp224r1", "secp256r1"}) {
+    for (const std::uint64_t seed : {7ull, 0x91A5ull, 0xC057ull}) {
+      const KpFaultCampaign campaign(seed, armvm::Cpu::kDefaultEngine, curve);
+      const auto costs = campaign.profile_costs(ec::FieldCostTable{});
+      for (unsigned p = 0; p < kNumProfiles; ++p) {
+        EXPECT_EQ(costs[p].ops,
+                  protected_run_counts(curve, seed, profiles[p].opts))
+            << curve << " seed " << seed << " " << profiles[p].name;
+      }
+    }
+  }
 }
 
 TEST(Campaign, ProfileCostsAreMonotone) {
