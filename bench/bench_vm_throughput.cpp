@@ -5,8 +5,10 @@
 // field kernels in the mix a w=4 `kP` on that curve executes them: the
 // looping prime-field code with subroutine calls, where the threaded
 // engine's speed comes from chaining blocks across branches. Both mixes
-// run through workloads::replay, the runner the replay and serve paths
-// use.
+// run through workloads::replay_stream, the single-stream runner
+// workloads::replay is built from, one stream after another: replay()
+// itself runs its three streams concurrently, and this bench measures
+// the engine on one core.
 //
 // Three engines run the exact same instruction stream:
 //   reference  — DecodeMode::kPerStep, the seed interpreter's
@@ -33,6 +35,7 @@
 // secp192r1 mix) into the exit code. Under --json the static+dynamic
 // fusion census is also mirrored to fusion_report.json (the CI bench job
 // uploads it as an artifact).
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -94,14 +97,22 @@ void mix64(std::uint64_t& h, std::uint32_t v) {
   h ^= v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
 }
 
-/// One kP's field-kernel mix (`workloads::replay`), `reps` times on one
-/// engine.
+/// One kP's field-kernel mix, `reps` times on one engine, one kernel
+/// stream at a time: workloads::replay runs the three streams
+/// concurrently, so timing it would credit the engine with their
+/// overlap.
 WorkloadResult run_mix(const workloads::WorkloadSpec& spec,
                        Cpu::DecodeMode mode, unsigned reps) {
+  const workloads::ReplayImages images = workloads::ReplayImages::resolve(spec);
+  std::array<workloads::StreamReplay, workloads::kKernelStreams> streams;
   const auto t0 = std::chrono::steady_clock::now();
-  const workloads::ReplayResult rr =
-      workloads::replay(spec, mode, armvm::MemModelConfig{}, reps);
+  for (unsigned s = 0; s < workloads::kKernelStreams; ++s) {
+    streams[s] = workloads::replay_stream(
+        spec, images, static_cast<workloads::KernelStream>(s), mode,
+        armvm::MemModelConfig{}, reps);
+  }
   const auto t1 = std::chrono::steady_clock::now();
+  const workloads::ReplayResult rr = workloads::merge_streams(streams);
   WorkloadResult r;
   r.seconds = std::chrono::duration<double>(t1 - t0).count();
   r.stats = rr.stats;

@@ -1,9 +1,12 @@
 #include "workloads/spec.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 #include <map>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
 
 #include "asmkernels/gen.h"
 #include "common/rng.h"
@@ -11,6 +14,7 @@
 #include "ec/curve.h"
 #include "ecp/costing.h"
 #include "ecp/curve.h"
+#include "sim/batch.h"
 #include "workloads/registry.h"
 
 namespace eccm0::workloads {
@@ -212,6 +216,152 @@ ReplayImages ReplayImages::resolve(const WorkloadSpec& spec) {
                       kernel(spec.inv_kernel)};
 }
 
+namespace {
+
+constexpr std::uint64_t kNoFailure = ~std::uint64_t{0};
+
+/// replay() calls running in this process.
+std::atomic<unsigned> replays_in_flight{0};
+
+/// Counts one replay in flight for its lifetime and remembers how many
+/// others were running when it started.
+class InFlight {
+ public:
+  InFlight() : others_(replays_in_flight.fetch_add(1)) {}
+  ~InFlight() { replays_in_flight.fetch_sub(1); }
+  InFlight(const InFlight&) = delete;
+  InFlight& operator=(const InFlight&) = delete;
+
+  unsigned others() const { return others_; }
+
+ private:
+  unsigned others_;
+};
+
+/// Where `stream`'s calls of rep `rep` fall in a serial replay, which
+/// makes rep 0's mul, sqr and inv calls, then rep 1's, and so on.
+std::uint64_t serial_position(unsigned rep, KernelStream stream) {
+  return std::uint64_t{rep} * kKernelStreams + static_cast<unsigned>(stream);
+}
+
+const armvm::ProgramRef& stream_image(const ReplayImages& images,
+                                      KernelStream stream) {
+  switch (stream) {
+    case KernelStream::kMul: return images.mul;
+    case KernelStream::kSqr: return images.sqr;
+    case KernelStream::kInv: break;
+  }
+  return images.inv;
+}
+
+std::uint64_t calls_per_rep(const WorkloadSpec& spec, KernelStream stream) {
+  switch (stream) {
+    case KernelStream::kMul: return spec.ops.mul;
+    case KernelStream::kSqr: return spec.ops.sqr;
+    case KernelStream::kInv: break;
+  }
+  return spec.ops.inv;
+}
+
+void load_stream_inputs(armvm::Memory& mem, const WorkloadSpec& spec,
+                        KernelStream stream) {
+  if (spec.curve.binary_field) {
+    // The binary inv input is loaded before every call (run_stream).
+    const KernelOperands& od = KernelOperands::standard();
+    if (stream == KernelStream::kMul) load_mul_inputs(mem, od.x, od.y);
+    if (stream == KernelStream::kSqr) {
+      load_sqr_table(mem);
+      load_sqr_input(mem, od.a);
+    }
+    return;
+  }
+  const PrimeOperands& od = PrimeOperands::standard(spec.curve);
+  load_prime_modulus(mem, spec.curve);
+  if (stream == KernelStream::kInv) {
+    load_prime_inv_input(mem, od.a);
+  } else {
+    load_prime_mul_inputs(mem, od.x, od.y);
+  }
+}
+
+StreamReplay stream_result(KernelMachine& m, const WorkloadSpec& spec,
+                           KernelStream stream) {
+  StreamReplay r;
+  r.stats = m.cpu().stats();
+  r.fused_retired = m.cpu().fused_retired();
+  // The binary multiply leaves its reduced product at kVOff; every other
+  // kernel (the Montgomery ones reduce in place) writes kOutOff.
+  const std::uint32_t off =
+      spec.curve.binary_field && stream == KernelStream::kMul
+          ? asmkernels::kVOff
+          : asmkernels::kOutOff;
+  r.output.resize(spec.curve.binary_field ? 8 : spec.curve.limbs);
+  for (std::size_t w = 0; w < r.output.size(); ++w) {
+    r.output[w] = m.mem().load32(armvm::kRamBase + off + 4 * w);
+  }
+  return r;
+}
+
+/// Runs `stream` on a fresh machine: reps [0, reps) of its calls, in
+/// order, tracking the rep in `rep` so a caller that catches a failure
+/// knows where it fell. Before each call it reads `first_failure`, the
+/// earliest serial position at which a stream of the same replay has
+/// failed, and stops once its own position is later: the serial replay
+/// would have thrown before making that call.
+StreamReplay run_stream(const WorkloadSpec& spec, const ReplayImages& images,
+                        KernelStream stream, armvm::Cpu::DecodeMode mode,
+                        const armvm::MemModelConfig& mem_model, unsigned reps,
+                        const std::atomic<std::uint64_t>& first_failure,
+                        unsigned& rep) {
+  KernelMachine m(stream_image(images, stream), mode, mem_model);
+  load_stream_inputs(m.mem(), spec, stream);
+  const std::uint64_t calls = calls_per_rep(spec, stream);
+  // The gf2 EEA kernel consumes its scratch state; re-seed so every
+  // inversion runs the same trace.
+  const bool reseed = spec.curve.binary_field && stream == KernelStream::kInv;
+  for (rep = 0; rep < reps; ++rep) {
+    const std::uint64_t position = serial_position(rep, stream);
+    for (std::uint64_t i = 0; i < calls; ++i) {
+      if (position > first_failure.load(std::memory_order_relaxed)) {
+        return {};
+      }
+      if (reseed) load_inv_input(m.mem(), KernelOperands::standard().a);
+      m.call();
+    }
+  }
+  return stream_result(m, spec, stream);
+}
+
+}  // namespace
+
+StreamReplay replay_stream(const WorkloadSpec& spec, const ReplayImages& images,
+                           KernelStream stream, armvm::Cpu::DecodeMode mode,
+                           const armvm::MemModelConfig& mem_model,
+                           unsigned reps) {
+  const std::atomic<std::uint64_t> no_failure{kNoFailure};
+  unsigned rep = 0;
+  return run_stream(spec, images, stream, mode, mem_model, reps, no_failure,
+                    rep);
+}
+
+ReplayResult merge_streams(
+    const std::array<StreamReplay, kKernelStreams>& streams) {
+  ReplayResult r;
+  for (const StreamReplay& s : streams) {
+    r.stats.instructions += s.stats.instructions;
+    r.stats.cycles += s.stats.cycles;
+    r.stats.histogram += s.stats.histogram;
+    r.fused_retired += s.fused_retired;
+  }
+  const std::size_t words = streams[0].output.size();
+  for (std::size_t w = 0; w < words; ++w) {
+    for (const StreamReplay& s : streams) {
+      mix64(r.output_digest, s.output.at(w));
+    }
+  }
+  return r;
+}
+
 ReplayResult replay(const WorkloadSpec& spec, armvm::Cpu::DecodeMode mode,
                     const armvm::MemModelConfig& mem_model, unsigned reps) {
   return replay(spec, ReplayImages::resolve(spec), mode, mem_model, reps);
@@ -220,60 +370,43 @@ ReplayResult replay(const WorkloadSpec& spec, armvm::Cpu::DecodeMode mode,
 ReplayResult replay(const WorkloadSpec& spec, const ReplayImages& images,
                     armvm::Cpu::DecodeMode mode,
                     const armvm::MemModelConfig& mem_model, unsigned reps) {
-  KernelMachine mul(images.mul, mode, mem_model);
-  KernelMachine sqr(images.sqr, mode, mem_model);
-  KernelMachine inv(images.inv, mode, mem_model);
-
-  unsigned out_words = 8;
-  std::uint32_t mul_out_off = asmkernels::kVOff;
-  if (spec.curve.binary_field) {
-    const KernelOperands& od = KernelOperands::standard();
-    load_mul_inputs(mul.mem(), od.x, od.y);
-    load_sqr_table(sqr.mem());
-    load_sqr_input(sqr.mem(), od.a);
-  } else {
-    const PrimeOperands& od = PrimeOperands::standard(spec.curve);
-    load_prime_modulus(mul.mem(), spec.curve);
-    load_prime_mul_inputs(mul.mem(), od.x, od.y);
-    load_prime_modulus(sqr.mem(), spec.curve);
-    load_prime_mul_inputs(sqr.mem(), od.x, od.y);
-    load_prime_modulus(inv.mem(), spec.curve);
-    load_prime_inv_input(inv.mem(), od.a);
-    out_words = spec.curve.limbs;
-    mul_out_off = asmkernels::kOutOff;  // Montgomery kernels reduce
-  }
-
-  ReplayResult r;
-  for (unsigned rep = 0; rep < reps; ++rep) {
-    for (std::uint64_t i = 0; i < spec.ops.mul; ++i) mul.call();
-    for (std::uint64_t i = 0; i < spec.ops.sqr; ++i) sqr.call();
-    for (std::uint64_t i = 0; i < spec.ops.inv; ++i) {
-      if (spec.curve.binary_field) {
-        // The gf2 EEA kernel consumes its scratch state; re-seed so
-        // every inversion runs the same trace.
-        const KernelOperands& od = KernelOperands::standard();
-        load_inv_input(inv.mem(), od.a);
+  std::array<StreamReplay, kKernelStreams> streams;
+  // Each task keeps its own failure: BatchExecutor's lowest-index rule
+  // would pick mul over an earlier-rep sqr or inv failure once reps > 1.
+  // A rejected memory model fails every stream's set-up, at rep 0, so
+  // mul's is rethrown, as in the serial replay.
+  std::atomic<std::uint64_t> first_failure{kNoFailure};
+  std::array<std::exception_ptr, kKernelStreams> errors;
+  std::array<std::uint64_t, kKernelStreams> failed_at{};
+  // Each replay in flight gets an equal share of the host's hardware
+  // threads, at least one. A lone caller spreads its streams over idle
+  // cores; serve workers that already fill the cores run theirs inline,
+  // where extra threads would only contend for them.
+  const InFlight in_flight;
+  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+  const sim::BatchExecutor pool(
+      std::max(1u, cores / (in_flight.others() + 1)));
+  pool.for_each(kKernelStreams, [&](std::uint64_t s) {
+    const auto stream = static_cast<KernelStream>(s);
+    unsigned rep = 0;
+    try {
+      streams[s] = run_stream(spec, images, stream, mode, mem_model, reps,
+                              first_failure, rep);
+    } catch (...) {
+      errors[s] = std::current_exception();
+      failed_at[s] = serial_position(rep, stream);
+      std::uint64_t seen = first_failure.load();
+      while (failed_at[s] < seen &&
+             !first_failure.compare_exchange_weak(seen, failed_at[s])) {
       }
-      inv.call();
+    }
+  });
+  for (unsigned s = 0; s < kKernelStreams; ++s) {
+    if (errors[s] && failed_at[s] == first_failure.load()) {
+      std::rethrow_exception(errors[s]);
     }
   }
-  r.stats = mul.cpu().stats();
-  r.stats.instructions +=
-      sqr.cpu().stats().instructions + inv.cpu().stats().instructions;
-  r.stats.cycles += sqr.cpu().stats().cycles + inv.cpu().stats().cycles;
-  r.stats.histogram += sqr.cpu().stats().histogram;
-  r.stats.histogram += inv.cpu().stats().histogram;
-  r.fused_retired = mul.cpu().fused_retired() + sqr.cpu().fused_retired() +
-                    inv.cpu().fused_retired();
-  for (unsigned w = 0; w < out_words; ++w) {
-    mix64(r.output_digest,
-          mul.mem().load32(armvm::kRamBase + mul_out_off + 4 * w));
-    mix64(r.output_digest,
-          sqr.mem().load32(armvm::kRamBase + asmkernels::kOutOff + 4 * w));
-    mix64(r.output_digest,
-          inv.mem().load32(armvm::kRamBase + asmkernels::kOutOff + 4 * w));
-  }
-  return r;
+  return merge_streams(streams);
 }
 
 }  // namespace eccm0::workloads

@@ -11,6 +11,7 @@
 // instead of the historical gf2-only kernel list.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -120,9 +121,49 @@ struct ReplayImages {
   static ReplayImages resolve(const WorkloadSpec& spec);
 };
 
-/// Run the spec's field-op mix as one VM workload (mul/sqr/inv kernel
-/// calls in mix order), `reps` times. Deterministic: same spec, mode
-/// and mem model give bit-identical stats and digest.
+/// The three kernel streams of a replay: the mix's mul, sqr and inv
+/// calls, in the order a serial replay makes them within one rep.
+enum class KernelStream : unsigned { kMul, kSqr, kInv };
+inline constexpr unsigned kKernelStreams = 3;
+
+/// One stream of a replay: its machine's totals and the kernel-output
+/// words its last call left in RAM.
+struct StreamReplay {
+  armvm::RunStats stats;
+  std::uint64_t fused_retired = 0;
+  std::vector<std::uint32_t> output;
+};
+
+/// Run one kernel stream of the spec: `reps` x the mix's count of that
+/// kernel's calls, in order, on one fresh KernelMachine over its image
+/// (the binary EEA `inv` re-seeded before every call). replay() is built
+/// from these; a harness that times the engine on one core runs the
+/// three in turn and merges them.
+StreamReplay replay_stream(const WorkloadSpec& spec, const ReplayImages& images,
+                           KernelStream stream, armvm::Cpu::DecodeMode mode,
+                           const armvm::MemModelConfig& mem_model = {},
+                           unsigned reps = 1);
+
+/// Fold the three streams (indexed by KernelStream) into the replay
+/// result: stats and fused counts summed, the digest mixed word by word
+/// across mul, sqr and inv.
+ReplayResult merge_streams(
+    const std::array<StreamReplay, kKernelStreams>& streams);
+
+/// Run the spec's field-op mix as one VM workload, `reps` times. The
+/// three kernel streams run concurrently through a sim::BatchExecutor,
+/// each on its own KernelMachine, and merge as merge_streams does. Each
+/// replay in flight in the process gets an equal share of the host's
+/// hardware threads (at least one, so it runs inline when the cores are
+/// taken). Exact by construction: the streams share only immutable
+/// images and operand tables, and each machine makes the calls a serial
+/// replay (rep 0's mul, sqr and inv calls, then rep 1's, ...) makes on
+/// it, in the same order — same spec, mode and mem model give
+/// bit-identical stats and digest. A failure rethrows the exception the
+/// serial replay would have hit first (lowest rep, then mul < sqr <
+/// inv); a stream stops at its next call once that call comes after the
+/// earliest failure in serial order, and every stream thread has joined
+/// before replay() returns or throws.
 ReplayResult replay(const WorkloadSpec& spec, armvm::Cpu::DecodeMode mode,
                     const armvm::MemModelConfig& mem_model = {},
                     unsigned reps = 1);
