@@ -23,7 +23,7 @@ using gf2::k233::Fe;
 int main(int argc, char** argv) {
   bench::banner("Table 6 - field arithmetic cycle counts (C vs assembly)");
 
-  asmkernels::KernelVm vm;
+  workloads::KernelVm vm;
   Rng rng(0x7AB1E6);
   Fe a, b;
   rng.fill(a);
@@ -33,9 +33,9 @@ int main(int argc, char** argv) {
 
   const auto sqr_vm = vm.sqr(a).stats.cycles;
   const auto mul_fixed =
-      vm.mul(asmkernels::MulKernel::kFixedRegisters, a, b, true).stats.cycles;
+      vm.mul(workloads::MulKernel::kFixedRegisters, a, b, true).stats.cycles;
   const auto mul_plain =
-      vm.mul(asmkernels::MulKernel::kPlainMemory, a, b, true).stats.cycles;
+      vm.mul(workloads::MulKernel::kPlainMemory, a, b, true).stats.cycles;
 
   costmodel::OpRecorder rec;
   (void)gf2::traced::inv_traced(a, rec);

@@ -49,14 +49,14 @@ loop:    movs r2, r0
   std::printf("  ... (%zu bytes total)\n\n", 2 * mul_prog->code().size());
 
   // --- 3. Run it, with the power rig attached -------------------------
-  asmkernels::KernelVm vm;
+  workloads::KernelVm vm;
   Rng rng(7);
   gf2::k233::Fe x, y;
   rng.fill(x);
   rng.fill(y);
   x[7] &= gf2::k233::kTopMask;
   y[7] &= gf2::k233::kTopMask;
-  const auto run = vm.mul(asmkernels::MulKernel::kFixedRegisters, x, y, true);
+  const auto run = vm.mul(workloads::MulKernel::kFixedRegisters, x, y, true);
   const auto energy = run.stats.energy();
   std::printf("modular multiplication in F(2^233), measured on the VM:\n");
   std::printf("  cycles       : %llu (paper: 3672)\n",

@@ -1,6 +1,5 @@
 #include "armvm/cpu.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "armvm/codec.h"
@@ -219,37 +218,6 @@ void Memory::poke16(std::uint32_t addr, std::uint16_t v) {
               (old & ~(0xFFFFu << shift)) | (std::uint32_t{v} << shift));
 }
 
-void Memory::set_bytes(std::span<const std::uint8_t> image) {
-  if (image.size() != bytes_.size()) {
-    throw std::invalid_argument("Memory::set_bytes: size mismatch");
-  }
-  std::copy(image.begin(), image.end(), bytes_.begin());
-  if (model_ != nullptr) {
-    // The image is the logical content; re-encode clean check bits.
-    for (std::size_t w = 0; w < check_.size(); ++w) {
-      check_[w] = model_->encode(le32(&bytes_[4 * w]));
-    }
-  }
-}
-
-void Memory::restore_protection(std::span<const std::uint8_t> check,
-                                std::uint64_t accesses_since_scrub) {
-  if (model_ == nullptr) {
-    if (!check.empty()) {
-      throw std::invalid_argument(
-          "Memory::restore_protection: raw memory has no check bits");
-    }
-    return;
-  }
-  if (check.size() != check_.size()) {
-    throw std::invalid_argument(
-        "Memory::restore_protection: check-bit size mismatch");
-  }
-  std::copy(check.begin(), check.end(), check_.begin());
-  accesses_since_scrub_ = accesses_since_scrub;
-  pending_wait_cycles_ = 0;  // never nonzero at a legal snapshot point
-}
-
 void Memory::flip_storage_bit(std::uint32_t word, unsigned bit) {
   if (word >= bytes_.size() / 4) {
     throw std::out_of_range("Memory::flip_storage_bit: word out of range");
@@ -318,31 +286,6 @@ void Cpu::set_arch_state(const ArchState& s) {
   z_ = s.z;
   c_ = s.c;
   v_ = s.v;
-}
-
-MachineSnapshot Cpu::snapshot() const {
-  MachineSnapshot s;
-  s.arch = arch_state();
-  s.stats = stats_;
-  s.halted = halted_;
-  const auto ram = ram_.bytes();
-  s.ram.assign(ram.begin(), ram.end());
-  const auto check = ram_.check_bytes();
-  s.check.assign(check.begin(), check.end());
-  s.mem_accesses = ram_.accesses_since_scrub();
-  return s;
-}
-
-void Cpu::restore(const MachineSnapshot& s) {
-  set_arch_state(s.arch);
-  stats_ = s.stats;
-  halted_ = s.halted;
-  // set_bytes re-encodes clean check bits from the logical image;
-  // restore_protection then overlays the snapshot's exact sidecar, so a
-  // word that held a latent bit error at snapshot time is restored
-  // rotten, not spuriously "corrected".
-  ram_.set_bytes(s.ram);
-  ram_.restore_protection(s.check, s.mem_accesses);
 }
 
 void Cpu::exec_traced(std::uint32_t pc, const Instr& ins, unsigned halfwords) {

@@ -54,8 +54,6 @@ class Memory {
 
   std::size_t size() const { return bytes_.size(); }
   bool is_protected() const { return model_ != nullptr; }
-  const MemModelConfig& model_config() const { return config_; }
-  MemModelKind model_kind() const { return config_.kind; }
 
   // Aligned, in-range accesses on *raw* memory take the inline fast
   // path below: one range/alignment test and a direct load/store at a
@@ -137,27 +135,14 @@ class Memory {
   std::vector<std::uint32_t> read_words(std::uint32_t addr,
                                         std::size_t count) const;
 
-  /// Whole-RAM access for machine snapshots.
+  /// The stored data bytes of the whole RAM, as they sit in the cells
+  /// (a latent bit error shows; nothing is decoded or charged).
   std::span<const std::uint8_t> bytes() const { return bytes_; }
-  /// Overwrite the full RAM image (size must match exactly; throws
-  /// std::invalid_argument otherwise). Used by Cpu::restore(). On
-  /// protected memory the image is treated as the *logical* content:
-  /// every check byte is recomputed, i.e. the storage is clean
-  /// afterwards. Restoring corrupted-storage state exactly additionally
-  /// needs restore_protection() with the snapshot's check bits.
-  void set_bytes(std::span<const std::uint8_t> image);
 
   // ---- Protection metadata, reliability counters, injection ----------
 
   /// The per-word check-byte sidecar (empty for raw memory).
   std::span<const std::uint8_t> check_bytes() const { return check_; }
-  /// Restore the exact protection state a snapshot captured: the check
-  /// bytes verbatim (overriding set_bytes' recomputation — this is what
-  /// keeps deliberately-corrupt storage corrupt across a
-  /// snapshot/restore round trip) and the scrub-clock phase. Raw memory
-  /// accepts only an empty sidecar.
-  void restore_protection(std::span<const std::uint8_t> check,
-                          std::uint64_t accesses_since_scrub);
 
   /// Physical storage bits per word as the bit-error injector sees
   /// them: 32 data bits plus the model's check bits (32/33/39).
@@ -284,30 +269,6 @@ struct RunStats {
   }
 
   friend bool operator==(const RunStats&, const RunStats&) = default;
-};
-
-/// Complete checkpoint of one execution context: architectural state
-/// (registers + flags, with the retired-work counters mirrored in
-/// `arch`), the full RunStats including the cycle histogram, the halted
-/// latch, and the entire RAM image. `Cpu::snapshot()` at an injection
-/// point plus `Cpu::restore()` on any context over the same Program
-/// forks the run instead of replaying it from reset — the continuation
-/// is bit-identical to a straight-through execution.
-struct MachineSnapshot {
-  ArchState arch;
-  RunStats stats;
-  bool halted = false;
-  std::vector<std::uint8_t> ram;
-  /// Protection sidecar of a protected Memory (empty for raw): restored
-  /// verbatim, so storage that held a latent (even deliberately
-  /// injected) bit error stays bit-for-bit rotten across the round trip
-  /// instead of being silently re-encoded clean.
-  std::vector<std::uint8_t> check;
-  /// Scrub-clock phase (accesses since the last scrubbing pass).
-  std::uint64_t mem_accesses = 0;
-
-  friend bool operator==(const MachineSnapshot&,
-                         const MachineSnapshot&) = default;
 };
 
 /// One memory access performed by a retired instruction.
@@ -473,52 +434,33 @@ class Cpu {
 
   /// Resume execution from the current architectural state (PC, flags,
   /// halted latch as-is) until the core halts — what `call()` does after
-  /// setting up the calling convention. Lets a restored snapshot or a
-  /// mid-run fault handoff continue under any engine; the PC may point
-  /// anywhere, including into the middle of a fused block (the threaded
-  /// engine then executes per-instruction until the next block head).
-  /// Returns the stats delta of this resume.
+  /// setting up the calling convention. Continues a run that `run_for`
+  /// stopped, under any engine; the PC may point anywhere, including
+  /// into the middle of a fused block (the threaded engine then executes
+  /// per-instruction until the next block head). Returns the stats
+  /// delta of this resume.
   RunStats run(std::uint64_t max_instructions = 100'000'000);
 
   /// Snapshot of registers, flags and retired-work counters — the same
-  /// structure a Fault carries. Used by fault-injection harnesses to
-  /// hand execution between cores and by tests to compare engines.
+  /// structure a Fault carries. Used by the fault injector to annotate
+  /// the faults it raises and by tests to compare engines.
   ArchState arch_state() const;
-  /// Restore registers and flags from a snapshot. Deliberately
+  /// Set registers and flags from an ArchState. Deliberately
   /// asymmetric with arch_state(): the retired-work counters and the
-  /// halted latch are NOT restored — they belong to this core's own
-  /// execution history. `reset_stats()` + `set_arch_state()` (plus
-  /// `clear_halted()` if the core already ran to completion) therefore
-  /// give a clean re-run from the restored architectural state.
+  /// halted latch are left alone — they belong to this core's own
+  /// execution history.
   void set_arch_state(const ArchState& s);
 
-  /// Full machine checkpoint: architectural state, RunStats (histogram
-  /// included), halted latch and the complete RAM image.
-  MachineSnapshot snapshot() const;
-  /// Restore every field a snapshot() captured — counters, latch and
-  /// RAM included — so execution resumes bit-identically from the
-  /// checkpoint. The snapshot's RAM size must match this context's RAM.
-  void restore(const MachineSnapshot& s);
-
   /// True once a run ended (BKPT or return sentinel). `call()` clears
-  /// the latch itself; `clear_halted()` re-arms a stepped or restored
-  /// context so it can resume.
+  /// the latch itself.
   bool halted() const { return halted_; }
-  void clear_halted() { halted_ = false; }
 
   const RunStats& stats() const { return stats_; }
-  void reset_stats() {
-    stats_ = {};
-    fused_retired_ = 0;
-    fused_blocks_entered_ = 0;
-  }
 
-  /// Diagnostics of the threaded engine (fusion report): instructions
-  /// retired inside fused superblocks, and blocks entered. Not part of
-  /// RunStats or snapshots — purely observability, zero for the other
-  /// engines.
+  /// Diagnostic of the threaded engine (fusion report): instructions
+  /// retired inside fused superblocks. Not part of RunStats — purely
+  /// observability, zero for the other engines.
   std::uint64_t fused_retired() const { return fused_retired_; }
-  std::uint64_t fused_blocks_entered() const { return fused_blocks_entered_; }
 
   /// Attach an observer of retired cost events (nullptr detaches). The
   /// sink is borrowed, not owned; it must outlive the traced run.
@@ -643,7 +585,6 @@ class Cpu {
   bool halted_ = false;
   RunStats stats_;
   std::uint64_t fused_retired_ = 0;
-  std::uint64_t fused_blocks_entered_ = 0;
   TraceSink* trace_ = nullptr;
   TraceEvent ev_;  ///< scratch event, populated only while trace_ is set
 };

@@ -5,12 +5,12 @@
 //     as the predecoded loop; additionally consults the Program's
 //     ThreadedImage and, when the PC sits on a fused-block head and the
 //     whole block fits in the remaining instruction budget, hands over
-//     to the block dispatcher. Everything else (interior entry after a
-//     snapshot restore, budget boundary, undecodable slot, control flow
-//     no block closes with) executes per-instruction from the predecode
-//     cache; traced runs and protected memory delegate wholesale to the
-//     predecoded loop, so the rich TraceEvent stream and the wait-state
-//     accounting are bit-identical by construction.
+//     to the block dispatcher. Everything else (interior entry when a
+//     run resumes mid-block, budget boundary, undecodable slot, control
+//     flow no block closes with) executes per-instruction from the
+//     predecode cache; traced runs and protected memory delegate
+//     wholesale to the predecoded loop, so the rich TraceEvent stream
+//     and the wait-state accounting are bit-identical by construction.
 //   Cpu::run_fused_block — the superblock dispatcher. Executes fused
 //     instructions against local flag copies with NO per-instruction
 //     accounting. Each block's exit entry (fall-through, or its closing
@@ -174,7 +174,6 @@ std::uint64_t Cpu::run_fused_block(const SuperBlock& first,
   const FusedInstr* fp = first.code.data();
   std::int32_t next = -1;      // successor the exit entry names
   std::uint64_t retired = 0;   // instructions of committed blocks
-  std::uint64_t entered = 0;   // committed blocks
   try {
     // Token-threaded dispatch: the op byte of the next fused entry
     // indexes straight into the label table, so there is no central
@@ -261,7 +260,6 @@ std::uint64_t Cpu::run_fused_block(const SuperBlock& first,
     stats_.cycles += blk->cycles;
     for (const auto& [cls, cyc] : blk->hist) stats_.histogram.add(cls, cyc);
     retired += blk->count;
-    ++entered;
     // Chain: run the successor in place when it is a block head whose
     // whole retirement fits in what is left of the budget.
     if (next >= 0 && blocks[next].count <= room - retired) {
@@ -291,7 +289,6 @@ std::uint64_t Cpu::run_fused_block(const SuperBlock& first,
     }
     stats_.instructions += retired + j;
     fused_retired_ += retired + j;
-    fused_blocks_entered_ += entered;
     r_[kPC] = code[j].pc4 - 2;
     throw;
   }
@@ -300,7 +297,6 @@ std::uint64_t Cpu::run_fused_block(const SuperBlock& first,
   c_ = lc;
   v_ = lv;
   fused_retired_ += retired;
-  fused_blocks_entered_ += entered;
   return retired;
 }
 

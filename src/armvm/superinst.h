@@ -122,8 +122,9 @@ struct SuperBlock {
 
 /// The frozen fusion artifact: `block_at[idx]` is the index into
 /// `blocks` when halfword `idx` is a block head, -1 otherwise (interior
-/// slots are -1 too: entering a block anywhere but its head — e.g. after
-/// a snapshot restore — executes per-instruction until the next head).
+/// slots are -1 too: entering a block anywhere but its head — e.g. when
+/// a run that `Cpu::run_for` stopped resumes — executes per-instruction
+/// until the next head).
 struct ThreadedImage {
   std::vector<std::int32_t> block_at;
   std::vector<SuperBlock> blocks;
@@ -298,7 +299,7 @@ ThreadedImage build_threaded_image(
 
 /// True when halfword `idx` lies strictly inside a fused block (not at
 /// its head; a closing BL's second halfword counts). Test helper for
-/// the mid-block snapshot/fault coverage.
+/// the mid-block resume/fault coverage.
 bool is_block_interior(const ThreadedImage& image, std::size_t idx);
 
 }  // namespace eccm0::armvm

@@ -41,33 +41,6 @@ void shl4(Prod& v) {
   v[0] <<= 4;
 }
 
-/// Comb multiplication of two N-word operands into a 2N-word product
-/// (Hankerson et al. Alg 2.34 right-to-left comb). Base case for
-/// Karatsuba and generally useful for sub-width products.
-template <std::size_t N>
-void mul_comb(std::array<Word, 2 * N>& v, const std::array<Word, N>& x,
-              const std::array<Word, N>& y) {
-  v = {};
-  // b holds y << bit; one extra word catches the overflow.
-  std::array<Word, N + 1> b{};
-  for (std::size_t i = 0; i < N; ++i) b[i] = y[i];
-  for (unsigned bit = 0; bit < kWordBits; ++bit) {
-    for (std::size_t k = 0; k < N; ++k) {
-      if ((x[k] >> bit) & 1u) {
-        for (std::size_t l = 0; l <= N; ++l) {
-          if (k + l < 2 * N) v[k + l] ^= b[l];
-        }
-      }
-    }
-    if (bit + 1 < kWordBits) {
-      for (std::size_t i = N; i > 0; --i) {
-        b[i] = (b[i] << 1) | (b[i - 1] >> (kWordBits - 1));
-      }
-      b[0] <<= 1;
-    }
-  }
-}
-
 #if ECCM0_K233_CLMUL
 
 using U64 = std::uint64_t;
@@ -219,27 +192,6 @@ void mul_ld(Prod& v, const Fe& x, const Fe& y) {
       for (std::size_t l = 0; l < kWords; ++l) v[l + k] ^= e[l];
     }
     if (j != 0) shl4(v);
-  }
-}
-
-void mul_karatsuba(Prod& v, const Fe& x, const Fe& y) {
-  using Half = std::array<Word, 4>;
-  auto lo = [](const Fe& a) { return Half{a[0], a[1], a[2], a[3]}; };
-  auto hi = [](const Fe& a) { return Half{a[4], a[5], a[6], a[7]}; };
-  auto hxor = [](const Half& a, const Half& b) {
-    return Half{a[0] ^ b[0], a[1] ^ b[1], a[2] ^ b[2], a[3] ^ b[3]};
-  };
-
-  std::array<Word, 8> z0, z1, z2;
-  mul_comb<4>(z0, lo(x), lo(y));
-  mul_comb<4>(z2, hi(x), hi(y));
-  mul_comb<4>(z1, hxor(lo(x), hi(x)), hxor(lo(y), hi(y)));
-
-  v = {};
-  for (std::size_t i = 0; i < 8; ++i) {
-    v[i] ^= z0[i];
-    v[i + 8] ^= z2[i];
-    v[i + 4] ^= z1[i] ^ z0[i] ^ z2[i];
   }
 }
 

@@ -6,8 +6,7 @@
 // paper compares:
 //   * mul_shift_add  — bit-serial reference (test oracle)
 //   * mul_ld         — plain Lopez-Dahab, window w = 4 (paper method A)
-//   * mul_karatsuba  — Karatsuba-Ofman over two 4-word halves (related work)
-// All produce identical 16-word products.
+// Both produce identical 16-word products.
 //
 // `mul` and `sqr` pick their path once, at run time: on a CPU with
 // carry-less multiply (x86-64 PCLMULQDQ) they work on four 64-bit words —
@@ -72,9 +71,6 @@ void mul_shift_add(Prod& v, const Fe& x, const Fe& y);
 /// flow): 16-entry lookup table of u(z)*y(z), left-to-right nibble scan of
 /// x, whole-product shift by 4 between passes.
 void mul_ld(Prod& v, const Fe& x, const Fe& y);
-
-/// Karatsuba-Ofman over 4-word halves with comb base multiplication.
-void mul_karatsuba(Prod& v, const Fe& x, const Fe& y);
 
 /// Word-at-a-time reduction modulo z^233 + z^74 + 1 (paper section 3.2.2).
 void reduce(Fe& r, const Prod& c);

@@ -19,7 +19,7 @@ struct Measurements {
 const Measurements& measurements() {
   static const Measurements m = [] {
     Measurements r;
-    asmkernels::KernelVm vm;
+    workloads::KernelVm vm;
     Rng rng(0xC0575);
     gf2::k233::Fe x, y;
     rng.fill(x);
@@ -27,10 +27,10 @@ const Measurements& measurements() {
     x[7] &= gf2::k233::kTopMask;
     y[7] &= gf2::k233::kTopMask;
     const auto fixed =
-        vm.mul(asmkernels::MulKernel::kFixedRegisters, x, y, true).stats;
+        vm.mul(workloads::MulKernel::kFixedRegisters, x, y, true).stats;
     r.mul_fixed = fixed.cycles;
     r.mul_plain =
-        vm.mul(asmkernels::MulKernel::kPlainMemory, x, y, true).stats.cycles;
+        vm.mul(workloads::MulKernel::kPlainMemory, x, y, true).stats.cycles;
     r.mul_lut = vm.lut_cycles(y);
     r.sqr = vm.sqr(x).stats.cycles;
     const auto e = fixed.energy();

@@ -67,10 +67,3 @@ class KernelVm {
 };
 
 }  // namespace eccm0::workloads
-
-namespace eccm0::asmkernels {
-// The harness lived in asmkernels before the workloads library existed;
-// keep the old names usable.
-using MulKernel = workloads::MulKernel;
-using KernelVm = workloads::KernelVm;
-}  // namespace eccm0::asmkernels

@@ -146,12 +146,6 @@ WorkloadSpec make_workload(const std::string& transaction,
 }
 
 WorkloadSpec kp_workload(const std::string& c) { return make_workload("kp", c); }
-WorkloadSpec ecdh_workload(const std::string& c) {
-  return make_workload("ecdh", c);
-}
-WorkloadSpec ecdsa_workload(const std::string& c) {
-  return make_workload("ecdsa", c);
-}
 
 const PrimeOperands& PrimeOperands::standard(const CurveRef& curve) {
   static std::mutex mu;

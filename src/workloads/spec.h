@@ -79,8 +79,6 @@ struct WorkloadSpec {
 WorkloadSpec make_workload(const std::string& transaction,
                            const std::string& curve_name);
 WorkloadSpec kp_workload(const std::string& curve_name);
-WorkloadSpec ecdh_workload(const std::string& curve_name);
-WorkloadSpec ecdsa_workload(const std::string& curve_name);
 
 /// Deterministic prime-kernel operands (per-curve, seed 0x7151CA7 like
 /// KernelOperands::standard): x, y are in-field Montgomery-domain

@@ -43,6 +43,25 @@ fn: movs r0, #7
   EXPECT_EQ(s.cycles, 1u + 2u);  // movs 1 + bx 2
 }
 
+// set_arch_state() sets registers and flags only: the retired-work
+// counters stay this core's own execution history.
+TEST_P(CpuTest, SetArchStateLeavesRetiredWorkCountersAlone) {
+  Machine m(R"(
+fn: movs r0, #7
+    bx lr
+)", GetParam());
+  ArchState s = m.cpu.arch_state();
+  m.cpu.call(m.program->entry("fn"), {});
+  const RunStats ran = m.cpu.stats();
+  s.r[0] = 9;
+  s.c = true;
+  m.cpu.set_arch_state(s);
+  EXPECT_EQ(m.cpu.reg(0), 9u);
+  EXPECT_TRUE(m.cpu.flag_c());
+  EXPECT_TRUE(m.cpu.stats() == ran);
+  EXPECT_EQ(m.cpu.arch_state().instructions, 2u);
+}
+
 // A transient fetch fault: the flipped halfword is what the one step
 // decodes and what its own code-space loads read; the next fetch of the
 // slot is pristine again, and an undecodable flip faults at the slot.
@@ -367,6 +386,9 @@ fn: movs r0, #5
 )", GetParam());
   m.cpu.call(m.program->entry("fn"), {});
   EXPECT_EQ(m.cpu.reg(0), 5u);
+  EXPECT_TRUE(m.cpu.halted());
+  EXPECT_FALSE(m.cpu.step());  // latched: nothing more retires
+  EXPECT_EQ(m.cpu.stats().instructions, 2u);
 }
 
 TEST_P(CpuTest, RsbNegates) {

@@ -1,16 +1,15 @@
 // Direct unit tests of armvm::Memory: the out-of-line slow paths the
-// inline fast paths hide (misalignment, boundaries, bulk image swaps),
-// and the protection-codec layer (parity detect-only, SECDED
-// correct-1/detect-2, wait-state accounting, scrubbing, and the
-// check-bit sidecar surviving a snapshot round trip instead of being
-// silently re-encoded clean).
+// inline fast paths hide (misalignment, boundaries), and the
+// protection-codec layer (parity detect-only, SECDED correct-1/detect-2,
+// wait-state accounting, scrubbing, and a core load correcting a latent
+// flip on every engine).
 #include <gtest/gtest.h>
 
 #include <stdexcept>
-#include <vector>
 
 #include "armvm/asm.h"
 #include "armvm/cpu.h"
+#include "armvm/dispatch.h"
 #include "armvm/fault.h"
 #include "armvm/memmodel.h"
 
@@ -45,17 +44,6 @@ TEST(MemorySlowPath, BoundaryAccessesAreExact) {
   EXPECT_THROW((void)mem.load8(kRamBase + kSize), BusFault);
   // Below RAM base is out of range too.
   EXPECT_THROW((void)mem.load32(kRamBase - 4), BusFault);
-}
-
-TEST(MemorySlowPath, SetBytesRejectsSizeMismatch) {
-  Memory mem(kSize);
-  const std::vector<std::uint8_t> small(kSize - 1, 0);
-  const std::vector<std::uint8_t> big(kSize + 1, 0);
-  EXPECT_THROW(mem.set_bytes(small), std::invalid_argument);
-  EXPECT_THROW(mem.set_bytes(big), std::invalid_argument);
-  const std::vector<std::uint8_t> exact(kSize, 0x5A);
-  mem.set_bytes(exact);
-  EXPECT_EQ(mem.load8(kRamBase), 0x5A);
 }
 
 // ---- Constructor validation ----------------------------------------
@@ -241,76 +229,30 @@ TEST(MemorySecded, ScrubFaultsOnUncorrectableWord) {
   EXPECT_THROW(mem.scrub(), MemoryIntegrityFault);
 }
 
-// ---- Snapshot round trip keeps corrupt storage corrupt --------------
+// ---- The core's own loads go through the codec -----------------------
 
-TEST(MemorySnapshot, SetBytesAloneReencodesClean) {
-  Memory mem(kSize, MemModelConfig::secded());
-  mem.poke32(kRamBase, 0x600DF00Du);
-  mem.flip_storage_bit(0, 6);
-  const std::vector<std::uint8_t> image(mem.bytes().begin(),
-                                        mem.bytes().end());
-  mem.set_bytes(image);  // logical image: storage comes back clean
-  (void)mem.peek32(kRamBase);
-  EXPECT_EQ(mem.corrections(), 0u);
-}
-
-TEST(MemorySnapshot, RestoreProtectionKeepsInjectedErrorAlive) {
-  // The regression this guards: a snapshot/restore cycle must not
-  // silently "correct" deliberately corrupted storage. The check-bit
-  // sidecar travels with the snapshot and is reinstated verbatim.
-  Memory mem(kSize, MemModelConfig::secded(2, 64));
-  mem.poke32(kRamBase + 16, 0x0BADF00Du);
-  mem.flip_storage_bit(4, 21);
-  const std::vector<std::uint8_t> image(mem.bytes().begin(),
-                                        mem.bytes().end());
-  const std::vector<std::uint8_t> check(mem.check_bytes().begin(),
-                                        mem.check_bytes().end());
-
-  Memory other(kSize, MemModelConfig::secded(2, 64));
-  other.set_bytes(image);
-  other.restore_protection(check, 7);
-  EXPECT_EQ(other.accesses_since_scrub(), 7u);
-  EXPECT_EQ(other.peek32(kRamBase + 16), 0x0BADF00Du);
-  EXPECT_EQ(other.corrections(), 1u);  // the flip survived the trip
-}
-
-TEST(MemorySnapshot, RestoreProtectionValidates) {
-  Memory raw(kSize);
-  raw.restore_protection({}, 0);  // raw accepts exactly the empty sidecar
-  const std::vector<std::uint8_t> bogus(kSize / 4, 0);
-  EXPECT_THROW(raw.restore_protection(bogus, 0), std::invalid_argument);
-  Memory prot(kSize, MemModelConfig::parity());
-  const std::vector<std::uint8_t> wrong(kSize / 4 - 1, 0);
-  EXPECT_THROW(prot.restore_protection(wrong, 0), std::invalid_argument);
-}
-
-TEST(MemorySnapshot, CpuRoundTripCarriesCheckBits) {
-  // Full-machine version: snapshot a Cpu running on SECDED RAM with a
-  // live injected error, restore into a fresh context, and the error is
-  // still there (and still correctable) after the trip.
+TEST(MemorySecded, CoreLoadCorrectsLatentFlipOnEveryEngine) {
+  // A latent single-bit error in storage: an `ldr` the core retires
+  // returns the corrected word and counts one correction, whichever
+  // engine runs it.
   const ProgramRef prog = assemble(R"(
 entry: movs r1, #1
        lsls r1, r1, #29   ; RAM base
        ldr r0, [r1]
        bx lr
 )");
-  Memory mem(1 << 12, MemModelConfig::secded(2));
-  Cpu cpu(prog, mem);
-  mem.poke32(kRamBase, 0x5EEDBEEFu);
-  mem.flip_storage_bit(0, 13);
-  const MachineSnapshot s = cpu.snapshot();
-  EXPECT_FALSE(s.check.empty());
-
-  Memory mem2(1 << 12, MemModelConfig::secded(2));
-  Cpu cpu2(prog, mem2);
-  cpu2.restore(s);
-  EXPECT_TRUE(cpu2.snapshot() == s);
-  cpu2.set_reg(kLR, kReturnSentinel);
-  cpu2.set_reg(kPC, prog->entry("entry"));
-  while (cpu2.step()) {
+  for (const Cpu::DecodeMode mode :
+       {Cpu::DecodeMode::kPerStep, Cpu::DecodeMode::kPredecode,
+        Cpu::DecodeMode::kThreaded}) {
+    SCOPED_TRACE(decode_mode_name(mode));
+    Memory mem(1 << 12, MemModelConfig::secded(2));
+    Cpu cpu(prog, mem, mode);
+    mem.poke32(kRamBase, 0x5EEDBEEFu);
+    mem.flip_storage_bit(0, 13);
+    cpu.call(prog->entry("entry"), {});
+    EXPECT_EQ(cpu.reg(0), 0x5EEDBEEFu);
+    EXPECT_EQ(mem.corrections(), 1u);
   }
-  EXPECT_EQ(cpu2.reg(0), 0x5EEDBEEFu);  // corrected on the fly
-  EXPECT_EQ(mem2.corrections(), 1u);
 }
 
 }  // namespace

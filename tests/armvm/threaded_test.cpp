@@ -3,11 +3,11 @@
 // predecoded engine: over every registry kernel, all three must retire
 // the same instruction stream — identical cycle counts, histograms,
 // energy, registers, RAM and (traced) rich event streams — and agree
-// bit-for-bit on the awkward paths: snapshot/restore into the middle of
-// a fused block, a fault at a retirement index interior to a
-// superinstruction, and the instruction-budget trip point — on the
-// looping kernels, where blocks chain across their closing branches, at
-// every early budget and at chain boundaries too.
+// bit-for-bit on the awkward paths: a run stopped with run_for inside a
+// fused block and resumed with run, a fault at a retirement index
+// interior to a superinstruction, and the instruction-budget trip point
+// — on the looping kernels, where blocks chain across their closing
+// branches, at every early budget and at chain boundaries too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -129,6 +129,14 @@ Observed observe(KernelMachine& m) {
   return o;
 }
 
+/// A fresh machine for `name` with its operands loaded and the calling
+/// convention of call() set up, without running anything.
+void arm_call(KernelMachine& m, const std::string& name) {
+  load_operands(name, m.mem());
+  m.cpu().set_reg(kLR, kReturnSentinel);
+  m.cpu().set_reg(kPC, m.prog().entry("entry"));
+}
+
 TEST(Threaded, AllRegistryKernelsIdenticalAcrossThreeEngines) {
   std::uint64_t total_fused = 0;
   const auto names = KernelRegistry::instance().names();
@@ -150,7 +158,7 @@ TEST(Threaded, AllRegistryKernelsIdenticalAcrossThreeEngines) {
       results.push_back(observe(m));
       if (mode == Cpu::DecodeMode::kThreaded) {
         fused_threaded = m.cpu().fused_retired();
-        EXPECT_GT(m.cpu().fused_blocks_entered(), 0u) << name;
+        EXPECT_GT(fused_threaded, 0u) << name;
       } else {
         EXPECT_EQ(m.cpu().fused_retired(), 0u) << name;
       }
@@ -307,46 +315,53 @@ TEST(Threaded, TracedStreamsIdenticalUnderProtectedMemory) {
   EXPECT_TRUE(saw_wait);
 }
 
-/// Step a per-step context to the first retirement index >= min_index
-/// at which the PC sits strictly inside a fused block of `image`.
-/// Returns the snapshot there and the retirement index.
-std::pair<MachineSnapshot, std::uint64_t> snapshot_inside_block(
-    const ProgramRef& prog, const ThreadedImage& image, Memory& mem,
-    std::uint64_t min_index) {
-  Cpu cpu(prog, mem, Cpu::DecodeMode::kPerStep);
-  cpu.set_reg(kLR, kReturnSentinel);
-  cpu.set_reg(kPC, prog->entry("entry"));
-  while (cpu.step()) {
-    if (cpu.stats().instructions < min_index) continue;
-    const std::uint32_t pc = cpu.reg(kPC);
-    if (pc != kReturnSentinel && pc % 2 == 0 &&
-        is_block_interior(image, pc / 2)) {
-      return {cpu.snapshot(), cpu.stats().instructions};
+/// Per-step scout: the first retirement index at or after `min_index`
+/// at which a call of `name` has its PC strictly inside a fused block
+/// that `pick` accepts.
+template <typename Pick>
+std::uint64_t index_inside(const std::string& name, std::uint64_t min_index,
+                           Pick pick) {
+  KernelMachine m(name, Cpu::DecodeMode::kPerStep);
+  arm_call(m, name);
+  const ThreadedImage& image = m.prog().threaded();
+  while (m.cpu().step()) {
+    if (m.cpu().stats().instructions < min_index) continue;
+    const std::uint32_t idx = m.cpu().reg(kPC) / 2;
+    for (const SuperBlock& blk : image.blocks) {
+      if (idx > blk.head_idx && 2 * idx < blk.end_pc && pick(blk)) {
+        return m.cpu().stats().instructions;
+      }
     }
   }
-  ADD_FAILURE() << "no interior-of-block PC reached";
-  return {cpu.snapshot(), cpu.stats().instructions};
+  ADD_FAILURE() << "no PC inside an accepted block reached";
+  return m.cpu().stats().instructions;
 }
 
-TEST(Threaded, SnapshotRestoreMidFusedBlockResumesIdentically) {
+bool any_block(const SuperBlock&) { return true; }
+
+/// Stop a fresh call of `name` after `index` retirements, as the fault
+/// injector does before its trigger, and require the PC inside a block.
+void stop_inside_block(KernelMachine& m, const std::string& name,
+                       std::uint64_t index) {
+  arm_call(m, name);
+  ASSERT_EQ(m.cpu().run_for(index), index);
+  ASSERT_TRUE(is_block_interior(m.prog().threaded(), m.cpu().reg(kPC) / 2))
+      << "stopped at pc " << m.cpu().reg(kPC);
+}
+
+TEST(Threaded, RunForMidFusedBlockResumesIdentically) {
   const ProgramRef prog = workloads::kernel("mul");
-  const ThreadedImage& image = prog->threaded();
-  ASSERT_FALSE(image.blocks.empty());
-
-  Memory scout_mem(kRamSize);
-  load_operands("mul", scout_mem);
-  const auto [snap, index] =
-      snapshot_inside_block(prog, image, scout_mem, 500);
+  ASSERT_FALSE(prog->threaded().blocks.empty());
+  const std::uint64_t index = index_inside("mul", 500, any_block);
   ASSERT_GE(index, 500u);
-  ASSERT_TRUE(is_block_interior(image, snap.arch.r[kPC] / 2));
 
-  // Fork the checkpoint into one context per engine and run each to
-  // completion: the threaded engine enters the block interior
-  // per-instruction, then picks up fusion at the next head.
+  // Stop every engine at the scouted index and run each to completion:
+  // the threaded engine executes the block interior per-instruction,
+  // then picks up fusion at the next head.
   std::vector<Observed> results;
   for (const Cpu::DecodeMode mode : kAllModes) {
     KernelMachine m(prog, mode);
-    m.cpu().restore(snap);
+    ASSERT_NO_FATAL_FAILURE(stop_inside_block(m, "mul", index));
     const RunStats delta = m.cpu().run();
     EXPECT_GT(delta.instructions, 0u);
     results.push_back(observe(m));
@@ -408,26 +423,22 @@ entry:
 }
 
 TEST(Threaded, RegisterFlipFaultAtInteriorIndexIdentical) {
-  // Snapshot the mul kernel at a retirement index whose PC is interior
-  // to a superinstruction, flip an address-register bit there (the
-  // faultsim register-flip model), and resume under each engine. The
-  // corrupted pointer sends a later store outside the 2 KiB RAM, so
-  // every engine must raise the same BusFault — message, faulting
-  // address, ArchState and accounting bit-identical even though the
-  // threaded engine hits it inside a fused block reached from an
-  // interior (mid-block) restore point.
+  // Stop the mul kernel at a retirement index whose PC is interior to a
+  // superinstruction, flip an address-register bit there (the faultsim
+  // register-flip model), and resume under each engine. The corrupted
+  // pointer sends a later store outside the 2 KiB RAM, so every engine
+  // must raise the same BusFault — message, faulting address, ArchState
+  // and accounting bit-identical even though the threaded engine hits
+  // it inside a fused block reached from an interior (mid-block) resume
+  // point.
   const ProgramRef prog = workloads::kernel("mul");
-  Memory scout_mem(kRamSize);
-  load_operands("mul", scout_mem);
-  const auto [snap, index] =
-      snapshot_inside_block(prog, prog->threaded(), scout_mem, 200);
-  ASSERT_TRUE(is_block_interior(prog->threaded(), snap.arch.r[kPC] / 2));
+  const std::uint64_t index = index_inside("mul", 200, any_block);
 
   std::vector<std::tuple<std::string, std::uint32_t, ArchState>> faults;
   std::vector<Observed> results;
   for (const Cpu::DecodeMode mode : kAllModes) {
     KernelMachine m(prog, mode);
-    m.cpu().restore(snap);
+    ASSERT_NO_FATAL_FAILURE(stop_inside_block(m, "mul", index));
     m.cpu().set_reg(3, m.cpu().reg(3) ^ (1u << 17));  // the injected fault
     try {
       m.cpu().run();
@@ -631,7 +642,7 @@ TEST(Threaded, FusionDiscoveryInvariants) {
 // chunk runner: through closing BCond/B loops, BL calls and BX returns.
 // The loop kernels below (the prime Montgomery multiply and binary-EEA
 // inversion, the K-233 EEA inversion) are where chains are long, so
-// every budget, snapshot and fault path is checked on them.
+// every budget, resume and fault path is checked on them.
 
 constexpr const char* kChainKernels[] = {"p192-mont", "p192-inv", "inv"};
 
@@ -648,14 +659,6 @@ struct Machine {
 Machine machine_of(KernelMachine& m) {
   return {m.cpu().arch_state(), m.cpu().stats(), m.cpu().halted(),
           m.mem().read_words(kRamBase, kRamSize / 4)};
-}
-
-/// A fresh machine for `name` with its operands loaded and the calling
-/// convention of call() set up, without running anything.
-void arm_call(KernelMachine& m, const std::string& name) {
-  load_operands(name, m.mem());
-  m.cpu().set_reg(kLR, kReturnSentinel);
-  m.cpu().set_reg(kPC, m.prog().entry("entry"));
 }
 
 /// Instructions one call of `name` retires.
@@ -695,7 +698,11 @@ TEST(ThreadedChain, RunForStopsOnTheSameInstructionEverywhere) {
     SCOPED_TRACE(name);
     const std::uint64_t length = call_length(name);
     ASSERT_GT(length, 600u);
-    std::uint64_t chained = 0;
+    std::uint64_t largest_block = 0;
+    for (const SuperBlock& blk : workloads::kernel(name)->threaded().blocks) {
+      largest_block = std::max<std::uint64_t>(largest_block, blk.count);
+    }
+    std::uint64_t fused = 0;
     for (const std::uint64_t n : budgets_for(length, 600, 24)) {
       std::vector<Machine> runs;
       for (const Cpu::DecodeMode mode : kAllModes) {
@@ -704,13 +711,15 @@ TEST(ThreadedChain, RunForStopsOnTheSameInstructionEverywhere) {
         EXPECT_EQ(m.cpu().run_for(n), std::min(n, length));
         runs.push_back(machine_of(m));
         if (mode == Cpu::DecodeMode::kThreaded) {
-          chained = std::max(chained, m.cpu().fused_blocks_entered());
+          fused = std::max(fused, m.cpu().fused_retired());
         }
       }
       expect_machines_identical(runs, "run_for(" + std::to_string(n) + ")");
       if (HasFailure()) return;
     }
-    EXPECT_GT(chained, 1u);
+    // More fused retirement than the largest block holds: some run_for
+    // ran more than one fused block.
+    EXPECT_GT(fused, largest_block);
   }
 }
 
@@ -746,28 +755,7 @@ TEST(ThreadedChain, CallBudgetTripsOnTheSameInstructionEverywhere) {
   }
 }
 
-/// Per-step scout: the first retirement index at or after `min_index`
-/// whose PC is interior to a block that `pick` accepts.
-template <typename Pick>
-std::pair<MachineSnapshot, std::uint64_t> snapshot_inside(
-    const std::string& name, std::uint64_t min_index, Pick pick) {
-  KernelMachine m(name, Cpu::DecodeMode::kPerStep);
-  arm_call(m, name);
-  const ThreadedImage& image = m.prog().threaded();
-  while (m.cpu().step()) {
-    if (m.cpu().stats().instructions < min_index) continue;
-    const std::uint32_t idx = m.cpu().reg(kPC) / 2;
-    for (const SuperBlock& blk : image.blocks) {
-      if (idx > blk.head_idx && 2 * idx < blk.end_pc && pick(blk)) {
-        return {m.cpu().snapshot(), m.cpu().stats().instructions};
-      }
-    }
-  }
-  ADD_FAILURE() << "no PC inside an accepted block reached";
-  return {m.cpu().snapshot(), m.cpu().stats().instructions};
-}
-
-TEST(ThreadedChain, SnapshotInsideBlocksClosedByBlOrBcondResumesIdentically) {
+TEST(ThreadedChain, RunForInsideBlocksClosedByBlOrBcondResumesIdentically) {
   struct Case {
     const char* kernel;
     const char* exit;
@@ -781,12 +769,12 @@ TEST(ThreadedChain, SnapshotInsideBlocksClosedByBlOrBcondResumesIdentically) {
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(std::string(c.kernel) + " inside a block closed by " + c.exit);
-    const auto [snap, index] = snapshot_inside(c.kernel, 100, c.pick);
+    const std::uint64_t index = index_inside(c.kernel, 100, c.pick);
     ASSERT_GE(index, 100u);
     std::vector<Machine> runs;
     for (const Cpu::DecodeMode mode : kAllModes) {
       KernelMachine m(c.kernel, mode);
-      m.cpu().restore(snap);
+      ASSERT_NO_FATAL_FAILURE(stop_inside_block(m, c.kernel, index));
       EXPECT_GT(m.cpu().run().instructions, 0u);
       EXPECT_TRUE(m.cpu().halted());
       runs.push_back(machine_of(m));

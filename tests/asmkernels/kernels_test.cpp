@@ -15,6 +15,8 @@ namespace {
 using gf2::k233::Fe;
 using gf2::k233::kTopMask;
 using gf2::k233::Prod;
+using workloads::KernelVm;
+using workloads::MulKernel;
 
 Fe random_fe(Rng& rng) {
   Fe f;

@@ -112,30 +112,16 @@ TEST(K233, MulLdMatchesShiftAdd) {
   }
 }
 
-TEST(K233, MulKaratsubaMatchesShiftAdd) {
-  Rng rng(4);
-  for (int i = 0; i < 100; ++i) {
-    const Fe a = random_fe(rng);
-    const Fe b = random_fe(rng);
-    Prod u, v;
-    mul_shift_add(u, a, b);
-    mul_karatsuba(v, a, b);
-    EXPECT_EQ(u, v);
-  }
-}
-
 TEST(K233, MulEdgeCases) {
   const Fe z = zero();
   const Fe o = one();
   Fe top{};
   top[7] = 1u << 8;  // z^232
   for (const Fe& a : {z, o, top, modulus()}) {
-    Prod u, v, w;
+    Prod u, v;
     mul_shift_add(u, a, top);
     mul_ld(v, a, top);
-    mul_karatsuba(w, a, top);
     EXPECT_EQ(u, v);
-    EXPECT_EQ(u, w);
   }
 }
 
